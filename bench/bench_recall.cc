@@ -19,6 +19,7 @@
 //   bench_recall                                        # AIDS sweep
 //   bench_recall --windows=8,16,32,64,128 --k=10
 //   bench_recall --queries=16 --scale=0.03 --threads=2  # CI smoke
+//   bench_recall --profile=aasd --build-threads=1       # one-worker build time
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -26,9 +27,12 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "ann/proximity_graph.h"
 #include "bench_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
@@ -55,6 +59,7 @@ struct Flags {
   size_t sample_pairs = 2000;
   uint64_t seed = 0;  // 0 = profile default
   uint32_t ann_degree = 0;  // 0 = AnnBuildParams default
+  size_t build_threads = 0;  // 0 = the service's own WarmAnnGraph build
 };
 
 std::vector<size_t> ParseSizeList(const std::string& csv) {
@@ -105,12 +110,16 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (ParseFlagValue(argv[i], "--ann-degree", &v)) {
       flags.ann_degree =
           static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+    } else if (ParseFlagValue(argv[i], "--build-threads", &v)) {
+      flags.build_threads =
+          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --profile=aids|fingerprint|grec|"
                    "aasd --scale=F --queries=N --k=N --windows=CSV "
                    "--floor-window=N --recall-floor=F --tau=N --threads=N "
-                   "--shards=N --pairs=N --seed=N --ann-degree=N\n",
+                   "--shards=N --pairs=N --seed=N --ann-degree=N "
+                   "--build-threads=N\n",
                    argv[i]);
       std::exit(2);
     }
@@ -171,6 +180,8 @@ int main(int argc, char** argv) {
   if (flags.ann_degree != 0) {
     service_options.ann_build.graph_degree = flags.ann_degree;
   }
+  // Declared before the service: an adopted graph must outlive it.
+  ProximityGraph adopted_graph;
   GbdaService service(&dataset->db, &*index, service_options);
 
   SearchOptions exhaustive_options;
@@ -204,8 +215,27 @@ int main(int argc, char** argv) {
 
   // Warm everything both timed passes share — prefilter profiles, engine
   // memos, and the proximity graph — so per-window walls measure steady
-  // state.
-  Status warmed = service.WarmAnnGraph();
+  // state. By default the service builds the graph itself (WarmAnnGraph, on
+  // a transient pool of one worker per hardware thread); --build-threads=N
+  // builds the same graph on an N-worker pool and adopts it.
+  size_t build_threads = std::max(1u, std::thread::hardware_concurrency());
+  WallTimer build_timer;
+  Status warmed;
+  if (flags.build_threads == 0) {
+    warmed = service.WarmAnnGraph();
+  } else {
+    build_threads = flags.build_threads;
+    ThreadPool build_pool(build_threads);
+    Result<ProximityGraph> graph = BuildProximityGraph(
+        FingerprintStore::FromIndex(*index), service_options.ann_build,
+        &build_pool);
+    warmed = graph.status();
+    if (graph.ok()) {
+      adopted_graph = std::move(*graph);
+      warmed = service.AdoptAnnGraph(adopted_graph.ref());
+    }
+  }
+  const double ann_build_seconds = build_timer.Seconds();
   if (!warmed.ok()) {
     std::fprintf(stderr, "ann graph: %s\n", warmed.ToString().c_str());
     return 1;
@@ -236,6 +266,8 @@ int main(int argc, char** argv) {
   std::printf("  \"threads\": %zu,\n", service.num_threads());
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
+  std::printf("  \"ann_build_seconds\": %.6f,\n", ann_build_seconds);
+  std::printf("  \"build_threads\": %zu,\n", build_threads);
   std::printf("  \"recall_floor\": %g,\n", flags.recall_floor);
   std::printf("  \"floor_window\": %zu,\n", flags.floor_window);
   std::printf("  \"exhaustive\": {\"wall_seconds\": %.6f, \"qps\": %.2f},\n",

@@ -1,14 +1,18 @@
 #include "ann/proximity_graph.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <exception>
+#include <functional>
+#include <future>
 #include <limits>
-#include <set>
-#include <unordered_set>
 #include <utility>
 
+#include "common/kernels.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace gbda {
 
@@ -74,68 +78,111 @@ FingerprintStore FingerprintStore::FromIndex(const IndexReader& index) {
   return store;
 }
 
-int64_t FingerprintDistance(Span<const uint64_t> a, Span<const uint64_t> b) {
-  size_t i = 0, j = 0, common = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++common;
-      ++i;
-      ++j;
-    }
-  }
-  return static_cast<int64_t>(std::max(a.size(), b.size()) - common);
+namespace {
+
+/// The kernel table every distance of one build or one navigation call goes
+/// through. Resolved once per call site, never per distance: ResolveKernels
+/// reads the environment override on every call.
+const ScanKernels& ActiveKernels() {
+  return GetScanKernels(ResolveKernels(KernelDispatch::kAuto));
 }
 
-namespace {
+int64_t Distance(const ScanKernels& kernels, Span<const uint64_t> a,
+                 Span<const uint64_t> b) {
+  return static_cast<int64_t>(std::max(a.size(), b.size())) -
+         kernels.intersect_count(a.data(), a.size(), b.data(), b.size());
+}
 
 /// One (distance, id) candidate; the pair order IS the navigation order —
 /// ties in distance break by smaller id, keeping every search deterministic
 /// on collision-heavy corpora.
 using Candidate = std::pair<int64_t, uint32_t>;
 
+/// Insertion batches grow 1, 2, 4, ... up to n / kBatchCapDivisor nodes.
+/// Larger batches synchronize less but search a staler graph (no node of a
+/// batch sees another's new edges); a ~6% cap keeps recall@10 at 1.0 on
+/// the bench_recall corpora (docs/BENCHMARKS.md).
+constexpr size_t kBatchCapDivisor = 16;
+
+/// One thread's beam-search state, reused across searches: a visited array
+/// stamped with an epoch (bumping the epoch clears it in O(1)), a min-heap
+/// frontier of unexpanded candidates, a max-heap window of the best
+/// candidates seen (worst on top), and the expansion log.
+class BeamScratch {
+ public:
+  /// Clears the search state for ids in [0, n).
+  void Reset(size_t n) {
+    frontier.clear();
+    window.clear();
+    expanded.clear();
+    NewEpoch(n);
+  }
+
+  /// Forgets every visit without touching the heaps or the log.
+  void NewEpoch(size_t n) {
+    if (stamp_.size() < n) stamp_.resize(n, 0);
+    if (++epoch_ == 0) {  // wrapped: old stamps would alias the new epoch
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+
+  /// Marks `id` visited; false when it already was in this epoch.
+  bool Visit(uint32_t id) {
+    if (stamp_[id] == epoch_) return false;
+    stamp_[id] = epoch_;
+    return true;
+  }
+
+  std::vector<Candidate> frontier;
+  std::vector<Candidate> window;
+  std::vector<Candidate> expanded;
+
+ private:
+  std::vector<uint32_t> stamp_;
+  uint32_t epoch_ = 0;
+};
+
 /// Beam search shared by the builder (adjacency still in per-node vectors)
 /// and the query-time navigator (CSR ref): expand the closest unexpanded
 /// candidate, keep the best `window` nodes seen, stop when a full window
-/// beats the whole frontier. Appends expanded nodes, in expansion order,
-/// with their distances (the builder's RobustPrune pool); `window_set`
-/// returns the final window.
+/// beats the whole frontier. Leaves the expanded nodes, in expansion order
+/// with their distances (the builder's RobustPrune pool), in
+/// `s->expanded` and the final window, unordered, in `s->window`. The
+/// caller Resets `s` first.
 template <typename NeighborsFn, typename DistFn>
 void BeamSearch(uint32_t entry, size_t window, const NeighborsFn& neighbors_of,
-                const DistFn& dist_to, std::vector<Candidate>* expanded,
-                std::set<Candidate>* window_set) {
-  std::set<Candidate> frontier;
-  std::unordered_set<uint32_t> seen;
-  const int64_t entry_dist = dist_to(entry);
-  frontier.emplace(entry_dist, entry);
-  window_set->emplace(entry_dist, entry);
-  seen.insert(entry);
-  while (!frontier.empty()) {
-    const Candidate closest = *frontier.begin();
+                const DistFn& dist_to, BeamScratch* s) {
+  const std::greater<Candidate> min_heap;
+  const Candidate start(dist_to(entry), entry);
+  s->Visit(entry);
+  s->frontier.push_back(start);
+  s->window.push_back(start);
+  while (!s->frontier.empty()) {
+    const Candidate closest = s->frontier.front();
     // A full window whose worst retained distance beats every unexpanded
     // candidate cannot improve; equal distances keep expanding so ties are
     // explored deterministically rather than by insertion luck.
-    if (window_set->size() >= window &&
-        closest.first > std::prev(window_set->end())->first) {
+    if (s->window.size() >= window && closest.first > s->window.front().first) {
       break;
     }
-    frontier.erase(frontier.begin());
-    expanded->push_back(closest);
+    std::pop_heap(s->frontier.begin(), s->frontier.end(), min_heap);
+    s->frontier.pop_back();
+    s->expanded.push_back(closest);
     const auto [nbrs, count] = neighbors_of(closest.second);
     for (size_t e = 0; e < count; ++e) {
       const uint32_t nb = nbrs[e];
-      if (!seen.insert(nb).second) continue;
-      const int64_t d = dist_to(nb);
-      if (window_set->size() >= window) {
-        const auto worst = std::prev(window_set->end());
-        if (Candidate(d, nb) >= *worst) continue;  // can't enter the window
-        window_set->erase(worst);
+      if (!s->Visit(nb)) continue;
+      const Candidate c(dist_to(nb), nb);
+      if (s->window.size() >= window) {
+        if (c >= s->window.front()) continue;  // can't enter the window
+        std::pop_heap(s->window.begin(), s->window.end());
+        s->window.pop_back();
       }
-      window_set->emplace(d, nb);
-      frontier.emplace(d, nb);
+      s->window.push_back(c);
+      std::push_heap(s->window.begin(), s->window.end());
+      s->frontier.push_back(c);
+      std::push_heap(s->frontier.begin(), s->frontier.end(), min_heap);
     }
   }
 }
@@ -147,7 +194,8 @@ void BeamSearch(uint32_t entry, size_t window, const NeighborsFn& neighbors_of,
 /// duplicates; both are ignored.
 std::vector<uint32_t> RobustPrune(uint32_t p, std::vector<Candidate> pool,
                                   double alpha, uint32_t degree,
-                                  const FingerprintStore& store) {
+                                  const FingerprintStore& store,
+                                  const ScanKernels& kernels) {
   std::sort(pool.begin(), pool.end());
   pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
   std::vector<uint32_t> kept;
@@ -155,9 +203,10 @@ std::vector<uint32_t> RobustPrune(uint32_t p, std::vector<Candidate> pool,
   std::vector<char> dropped(pool.size(), 0);
   for (size_t i = 0; i < pool.size() && kept.size() < degree; ++i) {
     if (dropped[i]) continue;
-    const auto [dist_pc, c] = pool[i];
+    const uint32_t c = pool[i].second;
     if (c == p) continue;
     kept.push_back(c);
+    const Span<const uint64_t> c_keys = store.keys(c);
     for (size_t j = i + 1; j < pool.size(); ++j) {
       if (dropped[j]) continue;
       const auto [dist_pj, cj] = pool[j];
@@ -165,8 +214,7 @@ std::vector<uint32_t> RobustPrune(uint32_t p, std::vector<Candidate> pool,
         dropped[j] = 1;
         continue;
       }
-      const int64_t dist_ccj = FingerprintDistance(store.keys(c),
-                                                   store.keys(cj));
+      const int64_t dist_ccj = Distance(kernels, c_keys, store.keys(cj));
       if (static_cast<double>(dist_ccj) * alpha <=
           static_cast<double>(dist_pj)) {
         dropped[j] = 1;
@@ -176,10 +224,62 @@ std::vector<uint32_t> RobustPrune(uint32_t p, std::vector<Candidate> pool,
   return kept;
 }
 
+/// Runs body(slot, item) for every item in [0, count) on up to
+/// pool->size() pool tasks (slot = task number), all claiming items from
+/// one shared counter; a null pool runs them on the calling thread as slot
+/// 0. `slot` picks per-thread scratch; items must be independent, so which
+/// thread ran one never shows in the result. Returns once every task has
+/// finished.
+template <typename Body>
+void ParallelFor(ThreadPool* pool, size_t count, const Body& body) {
+  std::atomic<size_t> next{0};
+  const auto drain = [&next, count, &body](size_t slot) {
+    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      body(slot, i);
+    }
+  };
+  if (pool == nullptr) {
+    drain(0);
+    return;
+  }
+  const size_t tasks = std::min(pool->size(), count);
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks);
+  std::exception_ptr error;
+  try {
+    for (size_t t = 0; t < tasks; ++t) {
+      futures.push_back(pool->Submit([&drain, t] { drain(t); }));
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Tasks hold references into this frame: wait every one out before any
+  // rethrow.
+  for (std::future<void>& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace
+
+int64_t FingerprintDistance(Span<const uint64_t> a, Span<const uint64_t> b) {
+  return Distance(ActiveKernels(), a, b);
+}
 
 Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
                                            const AnnBuildParams& params) {
+  ThreadPool pool(0);
+  return BuildProximityGraph(store, params, &pool);
+}
+
+Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
+                                           const AnnBuildParams& params,
+                                           ThreadPool* pool) {
   if (params.graph_degree == 0) {
     return Status::InvalidArgument("ann graph_degree must be >= 1");
   }
@@ -202,6 +302,7 @@ Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
         "ann graph supports at most 2^32 - 1 nodes");
   }
   const uint32_t degree = params.graph_degree;
+  const ScanKernels& kernels = ActiveKernels();
   Rng rng(params.seed);
 
   // Random bounded-degree initialization: navigable from the first
@@ -229,7 +330,7 @@ Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
     for (size_t c : sample) {
       int64_t total = 0;
       for (size_t s : sample) {
-        total += FingerprintDistance(store.keys(c), store.keys(s));
+        total += Distance(kernels, store.keys(c), store.keys(s));
       }
       if (total < best_total) {
         best_total = total;
@@ -241,37 +342,75 @@ Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
   const auto neighbors_of = [&adj](uint32_t id) {
     return std::make_pair(adj[id].data(), adj[id].size());
   };
+  std::vector<BeamScratch> scratch(pool == nullptr ? 1 : pool->size());
 
-  // Randomized insertion pass (Vamana): greedy-search each node from the
-  // entry point, RobustPrune the visited pool into its out-edges, then add
-  // backward edges, re-pruning any list the bound overflows.
+  // Batch-synchronous insertion (Vamana, in seeded random order): every
+  // node of a batch greedy-searches the graph as it stood when the batch
+  // began and RobustPrunes the visited pool into its new out-edges; those
+  // are committed together, then each node named by the batch's new edges
+  // takes the backward edges in ascending source order and is re-pruned if
+  // it overflows the bound. No step reads what a concurrent step writes, so
+  // the graph depends on (store, params) alone — never on the pool size.
   std::vector<uint32_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
   rng.Shuffle(&perm);
-  for (uint32_t p : perm) {
-    const Span<const uint64_t> p_keys = store.keys(p);
-    const auto dist_to = [&store, &p_keys](uint32_t id) {
-      return FingerprintDistance(p_keys, store.keys(id));
-    };
-    std::vector<Candidate> pool;
-    std::set<Candidate> window_set;
-    BeamSearch(out.entry_point, params.build_window, neighbors_of, dist_to,
-               &pool, &window_set);
-    for (uint32_t nb : adj[p]) pool.emplace_back(dist_to(nb), nb);
-    adj[p] = RobustPrune(p, std::move(pool), params.alpha, degree, store);
-    for (uint32_t j : adj[p]) {
-      if (std::find(adj[j].begin(), adj[j].end(), p) != adj[j].end()) continue;
-      adj[j].push_back(p);
-      if (adj[j].size() > degree) {
-        const Span<const uint64_t> j_keys = store.keys(j);
-        std::vector<Candidate> jpool;
-        jpool.reserve(adj[j].size());
-        for (uint32_t nb : adj[j]) {
-          jpool.emplace_back(FingerprintDistance(j_keys, store.keys(nb)), nb);
-        }
-        adj[j] = RobustPrune(j, std::move(jpool), params.alpha, degree, store);
+  const size_t max_batch = std::max<size_t>(1, n / kBatchCapDivisor);
+  std::vector<std::vector<uint32_t>> staged;
+  std::vector<std::pair<uint32_t, uint32_t>> back_edges;  // (target, source)
+  std::vector<size_t> group_begin;
+  for (size_t begin = 0, batch = 1; begin < n;
+       begin += batch, batch = std::min(batch * 2, max_batch)) {
+    batch = std::min(batch, n - begin);
+    const uint32_t* nodes = perm.data() + begin;
+    staged.assign(batch, {});
+    ParallelFor(pool, batch, [&](size_t slot, size_t i) {
+      const uint32_t p = nodes[i];
+      const Span<const uint64_t> p_keys = store.keys(p);
+      const auto dist_to = [&kernels, &store, &p_keys](uint32_t id) {
+        return Distance(kernels, p_keys, store.keys(id));
+      };
+      BeamScratch& s = scratch[slot];
+      s.Reset(n);
+      BeamSearch(out.entry_point, params.build_window, neighbors_of, dist_to,
+                 &s);
+      std::vector<Candidate> candidates = s.expanded;
+      for (uint32_t nb : adj[p]) candidates.emplace_back(dist_to(nb), nb);
+      staged[i] = RobustPrune(p, std::move(candidates), params.alpha, degree,
+                              store, kernels);
+    });
+
+    back_edges.clear();
+    for (size_t i = 0; i < batch; ++i) {
+      adj[nodes[i]] = std::move(staged[i]);
+      for (uint32_t j : adj[nodes[i]]) back_edges.emplace_back(j, nodes[i]);
+    }
+    std::sort(back_edges.begin(), back_edges.end());
+    group_begin.clear();
+    for (size_t e = 0; e < back_edges.size(); ++e) {
+      if (e == 0 || back_edges[e].first != back_edges[e - 1].first) {
+        group_begin.push_back(e);
       }
     }
+    group_begin.push_back(back_edges.size());
+    ParallelFor(pool, group_begin.size() - 1, [&](size_t, size_t g) {
+      const uint32_t j = back_edges[group_begin[g]].first;
+      std::vector<uint32_t>& list = adj[j];
+      for (size_t e = group_begin[g]; e < group_begin[g + 1]; ++e) {
+        const uint32_t p = back_edges[e].second;
+        if (std::find(list.begin(), list.end(), p) == list.end()) {
+          list.push_back(p);
+        }
+      }
+      if (list.size() <= degree) return;
+      const Span<const uint64_t> j_keys = store.keys(j);
+      std::vector<Candidate> candidates;
+      candidates.reserve(list.size());
+      for (uint32_t nb : list) {
+        candidates.emplace_back(Distance(kernels, j_keys, store.keys(nb)), nb);
+      }
+      list = RobustPrune(j, std::move(candidates), params.alpha, degree, store,
+                         kernels);
+    });
   }
 
   // Reachability repair: RobustPrune can orphan nodes (every in-edge
@@ -324,30 +463,34 @@ std::vector<uint32_t> NavigateProximityGraph(const ProximityGraphRef& graph,
                                              size_t window) {
   if (graph.num_nodes == 0) return {};
   window = std::max<size_t>(1, window);
+  const ScanKernels& kernels = ActiveKernels();
   const auto neighbors_of = [&graph](uint32_t id) {
     return std::make_pair(graph.neighbors + graph.offsets[id],
                           static_cast<size_t>(graph.offsets[id + 1] -
                                               graph.offsets[id]));
   };
-  const auto dist_to = [&store, &query_keys](uint32_t id) {
-    return FingerprintDistance(query_keys, store.keys(id));
+  const auto dist_to = [&kernels, &store, &query_keys](uint32_t id) {
+    return Distance(kernels, query_keys, store.keys(id));
   };
-  std::vector<Candidate> expanded;
-  std::set<Candidate> window_set;
-  BeamSearch(graph.entry_point, window, neighbors_of, dist_to, &expanded,
-             &window_set);
+  // One scratch per calling thread (the service's pool workers), reused
+  // across queries so a navigation allocates only its result.
+  thread_local BeamScratch s;
+  const size_t n = static_cast<size_t>(graph.num_nodes);
+  s.Reset(n);
+  BeamSearch(graph.entry_point, window, neighbors_of, dist_to, &s);
   // Verification set: every expanded node (in expansion order) plus any
-  // window survivor the loop never got to expand — all distance-computed
-  // nodes the search considered worth keeping.
+  // window survivor the loop never got to expand, in (distance, id) order —
+  // all distance-computed nodes the search considered worth keeping.
+  std::sort(s.window.begin(), s.window.end());
+  s.NewEpoch(n);
   std::vector<uint32_t> out;
-  out.reserve(expanded.size() + window_set.size());
-  std::unordered_set<uint32_t> emitted;
-  emitted.reserve(expanded.size() + window_set.size());
-  for (const Candidate& c : expanded) {
-    if (emitted.insert(c.second).second) out.push_back(c.second);
+  out.reserve(s.expanded.size() + s.window.size());
+  for (const Candidate& c : s.expanded) {
+    s.Visit(c.second);
+    out.push_back(c.second);
   }
-  for (const Candidate& c : window_set) {
-    if (emitted.insert(c.second).second) out.push_back(c.second);
+  for (const Candidate& c : s.window) {
+    if (s.Visit(c.second)) out.push_back(c.second);
   }
   return out;
 }

@@ -111,8 +111,12 @@ class FingerprintStore {
 /// fingerprint multisets — GBD's shape in fingerprint space, so graph
 /// pairs that rank well under the posterior tend to be near each other.
 /// Symmetric, non-negative, 0 for identical multisets (including two empty
-/// ones).
+/// ones). Counts the intersection through the dispatched intersect_count
+/// kernel (common/kernels.h), resolving the table on every call; the
+/// builder and the navigator resolve it once per build or navigation.
 int64_t FingerprintDistance(Span<const uint64_t> a, Span<const uint64_t> b);
+
+class ThreadPool;
 
 /// Offline Vamana-style build: random bounded-degree initialization, then
 /// one randomized insertion pass (greedy search from the entry point +
@@ -121,11 +125,23 @@ int64_t FingerprintDistance(Span<const uint64_t> a, Span<const uint64_t> b);
 /// point are appended to the entry point's list (its degree alone may
 /// exceed graph_degree), so every node is reachable and a beam search with
 /// window >= corpus size provably visits the whole corpus (the property
-/// the full-window bit-identity tests pin). Deterministic in
-/// (store, params). Fails on invalid params (degree or window of 0,
-/// alpha < 1.0).
+/// the full-window bit-identity tests pin). The insertion pass runs in
+/// batch-synchronous rounds (docs/ARCHITECTURE.md, "Offline build") whose
+/// parallel steps never read each other's writes, so the output is
+/// deterministic in (store, params) and identical for every thread count.
+/// Fails on invalid params (degree or window of 0, alpha < 1.0).
+///
+/// This form runs on a transient ThreadPool(0) (one worker per hardware
+/// thread).
 Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
                                            const AnnBuildParams& params);
+
+/// The same build on `pool`'s workers; nullptr runs it on the calling
+/// thread. Must not be called from one of `pool`'s own workers: it waits
+/// for the tasks it queues there.
+Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
+                                           const AnnBuildParams& params,
+                                           ThreadPool* pool);
 
 /// Beam search ("GreedySearch" with a `window`-bounded priority queue):
 /// from the entry point, repeatedly expand the closest unexpanded candidate

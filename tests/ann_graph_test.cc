@@ -3,19 +3,28 @@
 // Vamana-style builder's invariants, the section serialize/parse round trip
 // and the beam navigator's determinism/termination properties — including
 // the degenerate corpora (identical fingerprints, collision-heavy label
-// soups) where a naive nearest-neighbor walk could cycle.
+// soups) where a naive nearest-neighbor walk could cycle. The builder must
+// give the same graph for every thread count, and the navigator must return
+// exactly the ids of a reference ordered-set beam search.
 #include "ann/proximity_graph.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "ann/navigator.h"
+#include "common/kernels.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/gbda_index.h"
 #include "core/prefilter.h"
 #include "datagen/dataset_profiles.h"
@@ -133,6 +142,73 @@ TEST(FingerprintDistanceTest, DuplicateKeysCountWithMultiplicity) {
   EXPECT_EQ(FingerprintDistance(KeySpan(a), KeySpan(a)), 0);
 }
 
+// Sets GBDA_FORCE_SCALAR_KERNELS for one scope and restores the previous
+// value (the CI leg that forces scalar process-wide must stay forced).
+class ScopedScalarOverride {
+ public:
+  explicit ScopedScalarOverride(const char* value) {
+    const char* old = std::getenv(kVar);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    if (value != nullptr) {
+      setenv(kVar, value, 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  ~ScopedScalarOverride() {
+    if (had_old_) {
+      setenv(kVar, old_.c_str(), 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  ScopedScalarOverride(const ScopedScalarOverride&) = delete;
+  ScopedScalarOverride& operator=(const ScopedScalarOverride&) = delete;
+
+ private:
+  static constexpr const char* kVar = "GBDA_FORCE_SCALAR_KERNELS";
+  bool had_old_ = false;
+  std::string old_;
+};
+
+TEST(FingerprintDistanceTest, MatchesScalarIntersectionUnderEveryTable) {
+  // FingerprintDistance counts through the dispatched kernel table; it must
+  // equal max(|a|, |b|) - the scalar reference count on every input, under
+  // the scalar table (forced) and the cpuid-selected one (AVX2 where the
+  // CPU has it). Small key alphabets force long duplicate runs.
+  const ScanKernels& scalar = GetScanKernels(KernelImpl::kScalar);
+  Rng rng(2024);
+  for (const char* force : {"1", static_cast<const char*>(nullptr)}) {
+    ScopedScalarOverride override_env(force);
+    const KernelImpl impl = ResolveKernels(KernelDispatch::kAuto);
+    if (force != nullptr) {
+      EXPECT_EQ(impl, KernelImpl::kScalar);
+    }
+    for (int trial = 0; trial < 2000; ++trial) {
+      const int64_t alphabet = rng.UniformInt(0, 12);
+      std::vector<uint64_t> a(static_cast<size_t>(rng.UniformInt(0, 40)));
+      std::vector<uint64_t> b(static_cast<size_t>(rng.UniformInt(0, 40)));
+      for (uint64_t& key : a) {
+        key = static_cast<uint64_t>(rng.UniformInt(0, alphabet));
+      }
+      for (uint64_t& key : b) {
+        key = static_cast<uint64_t>(rng.UniformInt(0, alphabet));
+      }
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      const int64_t common =
+          scalar.intersect_count(a.data(), a.size(), b.data(), b.size());
+      const int64_t want =
+          static_cast<int64_t>(std::max(a.size(), b.size())) - common;
+      ASSERT_EQ(FingerprintDistance(KeySpan(a), KeySpan(b)), want)
+          << KernelImplName(impl) << " trial " << trial;
+      ASSERT_EQ(FingerprintDistance(KeySpan(b), KeySpan(a)), want)
+          << KernelImplName(impl) << " trial " << trial;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // FingerprintStore
 // ---------------------------------------------------------------------------
@@ -193,28 +269,47 @@ TEST(ProximityGraphBuildTest, RejectsInvalidParams) {
             StatusCode::kInvalidArgument);
 }
 
+// Builds `store` with no pool, with pools of 1-4 workers and through the
+// 2-arg form (a pool per hardware thread): every build must be the same
+// graph, valid, and fully reachable by a full-window navigation.
+void ExpectThreadCountInvariant(const FingerprintStore& store,
+                                const AnnBuildParams& params) {
+  std::vector<Result<ProximityGraph>> builds;
+  builds.push_back(BuildProximityGraph(store, params, nullptr));
+  for (size_t workers = 1; workers <= 4; ++workers) {
+    ThreadPool pool(workers);
+    builds.push_back(BuildProximityGraph(store, params, &pool));
+  }
+  builds.push_back(BuildProximityGraph(store, params));
+  for (size_t b = 0; b < builds.size(); ++b) {
+    SCOPED_TRACE("build " + std::to_string(b));
+    ASSERT_TRUE(builds[b].ok()) << builds[b].status().ToString();
+    const ProximityGraph& g = *builds[b];
+    ExpectCsrInvariants(g, store.size());
+    EXPECT_EQ(g.entry_point, builds.front()->entry_point);
+    EXPECT_EQ(g.offsets, builds.front()->offsets);
+    EXPECT_EQ(g.neighbors, builds.front()->neighbors);
+    const Span<const uint64_t> query = store.keys(0);
+    std::vector<uint32_t> visited =
+        NavigateProximityGraph(g.ref(), store, query, store.size());
+    std::sort(visited.begin(), visited.end());
+    std::vector<uint32_t> all(store.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+    EXPECT_EQ(visited, all);
+  }
+}
+
 TEST(ProximityGraphBuildTest, InvariantsAndDeterminismOnRealCorpus) {
   DatasetProfile profile = AidsProfile(0.03);
   profile.seed = 31;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   const Prefilter prefilter(&ds->db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
-
   AnnBuildParams params;
   params.graph_degree = 8;
   params.build_window = 16;
-  Result<ProximityGraph> graph = BuildProximityGraph(store, params);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  ExpectCsrInvariants(*graph, store.size());
-
-  // Bit-identical rebuild: same (store, params) -> same graph.
-  Result<ProximityGraph> again = BuildProximityGraph(store, params);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(graph->entry_point, again->entry_point);
-  EXPECT_EQ(graph->degree_bound, again->degree_bound);
-  EXPECT_EQ(graph->offsets, again->offsets);
-  EXPECT_EQ(graph->neighbors, again->neighbors);
+  ExpectThreadCountInvariant(FingerprintStore::FromPrefilter(prefilter),
+                             params);
 }
 
 TEST(ProximityGraphBuildTest, IdenticalFingerprintCorpus) {
@@ -222,26 +317,19 @@ TEST(ProximityGraphBuildTest, IdenticalFingerprintCorpus) {
   // fully reachable, deterministic graph (ties broken by id).
   GraphDatabase db = IdenticalCorpus(12);
   const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
-  Result<ProximityGraph> graph = BuildProximityGraph(store, params);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  ExpectCsrInvariants(*graph, 12);
-  Result<ProximityGraph> again = BuildProximityGraph(store, params);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(graph->neighbors, again->neighbors);
+  ExpectThreadCountInvariant(FingerprintStore::FromPrefilter(prefilter),
+                             params);
 }
 
 TEST(ProximityGraphBuildTest, TinyCorpus) {
   // Fewer nodes than the degree bound: the graph degenerates gracefully.
   GraphDatabase db = IdenticalCorpus(2);
   const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
-  Result<ProximityGraph> graph = BuildProximityGraph(store, AnnBuildParams());
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  ExpectCsrInvariants(*graph, 2);
+  ExpectThreadCountInvariant(FingerprintStore::FromPrefilter(prefilter),
+                             AnnBuildParams());
 }
 
 // ---------------------------------------------------------------------------
@@ -309,6 +397,60 @@ TEST(ProximityGraphSerializeTest, RejectsHostilePayloads) {
 // ---------------------------------------------------------------------------
 // NavigateProximityGraph
 // ---------------------------------------------------------------------------
+
+// The navigator as it stood before its flat rewrite — an ordered-set
+// frontier and window, a hash-set visited set, FingerprintDistance per
+// pair. NavigateProximityGraph must return exactly its id vector.
+std::vector<uint32_t> ReferenceNavigate(const ProximityGraphRef& graph,
+                                        const FingerprintStore& store,
+                                        Span<const uint64_t> query_keys,
+                                        size_t window) {
+  using Candidate = std::pair<int64_t, uint32_t>;
+  if (graph.num_nodes == 0) return {};
+  window = std::max<size_t>(1, window);
+  std::set<Candidate> frontier;
+  std::set<Candidate> window_set;
+  std::unordered_set<uint32_t> seen;
+  std::vector<Candidate> expanded;
+  const auto dist_to = [&](uint32_t id) {
+    return FingerprintDistance(query_keys, store.keys(id));
+  };
+  const Candidate start(dist_to(graph.entry_point), graph.entry_point);
+  frontier.insert(start);
+  window_set.insert(start);
+  seen.insert(start.second);
+  while (!frontier.empty()) {
+    const Candidate closest = *frontier.begin();
+    if (window_set.size() >= window &&
+        closest.first > std::prev(window_set.end())->first) {
+      break;
+    }
+    frontier.erase(frontier.begin());
+    expanded.push_back(closest);
+    for (uint64_t e = graph.offsets[closest.second];
+         e < graph.offsets[closest.second + 1]; ++e) {
+      const uint32_t nb = graph.neighbors[e];
+      if (!seen.insert(nb).second) continue;
+      const Candidate c(dist_to(nb), nb);
+      if (window_set.size() >= window) {
+        const auto worst = std::prev(window_set.end());
+        if (c >= *worst) continue;
+        window_set.erase(worst);
+      }
+      window_set.insert(c);
+      frontier.insert(c);
+    }
+  }
+  std::vector<uint32_t> out;
+  std::unordered_set<uint32_t> emitted;
+  for (const Candidate& c : expanded) {
+    if (emitted.insert(c.second).second) out.push_back(c.second);
+  }
+  for (const Candidate& c : window_set) {
+    if (emitted.insert(c.second).second) out.push_back(c.second);
+  }
+  return out;
+}
 
 class NavigationTest : public ::testing::Test {
  protected:
@@ -379,6 +521,37 @@ TEST_F(NavigationTest, EmptyQueryKeysTerminate) {
       NavigateProximityGraph(graph_.ref(), store_, KeySpan(empty), 8);
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
+}
+
+TEST_F(NavigationTest, MatchesReferenceBeamSearchExactly) {
+  std::vector<std::vector<uint64_t>> queries;
+  for (const Graph& q : queries_) queries.push_back(QueryKeys(q));
+  queries.emplace_back();  // empty branch multiset
+  for (size_t window : {size_t{1}, size_t{4}, size_t{16}, size_t{64},
+                        store_.size()}) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Span<const uint64_t> keys = KeySpan(queries[q]);
+      EXPECT_EQ(NavigateProximityGraph(graph_.ref(), store_, keys, window),
+                ReferenceNavigate(graph_.ref(), store_, keys, window))
+          << "window " << window << " query " << q;
+    }
+  }
+  // All-tied corpus: every distance is 0, so only the id tie-break orders
+  // the search.
+  GraphDatabase db = IdenticalCorpus(16);
+  const Prefilter prefilter(&db);
+  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  AnnBuildParams params;
+  params.graph_degree = 4;
+  params.build_window = 8;
+  Result<ProximityGraph> graph = BuildProximityGraph(store, params);
+  ASSERT_TRUE(graph.ok());
+  for (size_t window : {size_t{1}, size_t{4}, size_t{16}}) {
+    EXPECT_EQ(
+        NavigateProximityGraph(graph->ref(), store, store.keys(3), window),
+        ReferenceNavigate(graph->ref(), store, store.keys(3), window))
+        << "window " << window;
+  }
 }
 
 TEST_F(NavigationTest, AllTiedDistancesTerminate) {

@@ -104,6 +104,9 @@ TEST(MetricsExporterTest, CounterReadingsAreMonotoneUnderConcurrentWrites) {
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) counter->Increment();
   });
+  // On a loaded host the writer may not be scheduled before the scrapes
+  // finish; wait for its first write so the scrapes race a live writer.
+  while (counter->Value() == 0) std::this_thread::yield();
 
   uint64_t previous = 0;
   for (int scrape = 0; scrape < 5; ++scrape) {

@@ -31,9 +31,18 @@
 //       (the v3 per-section sums — including trailing optional sections
 //       such as ann_graph — or the v2 footer). Exits non-zero on the
 //       first failure, printing the offending section and byte offset.
+//
+// build, convert and graph write crash-safely: the artifact goes to
+// <out>.tmp, is fsynced, then renamed over <out>. A crash leaves either the
+// old <out> or the complete new one, and --out may name the --in file.
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 
 #include "ann/proximity_graph.h"
@@ -86,13 +95,55 @@ Result<uint32_t> ReadMagic(const std::string& path) {
   return magic;
 }
 
+Status ErrnoStatus(const std::string& what, const std::string& path) {
+  return Status::IOError(what + " " + path + ": " + std::strerror(errno));
+}
+
+/// fsyncs the file or directory at `path`.
+Status SyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags);
+  if (fd < 0) return ErrnoStatus("cannot open for fsync:", path);
+  const int rc = ::fsync(fd);
+  Status status = rc == 0 ? Status::OK() : ErrnoStatus("fsync failed:", path);
+  ::close(fd);
+  return status;
+}
+
+/// Runs `write` on <path>.tmp, fsyncs it and renames it over `path` (then
+/// fsyncs the directory, so the rename itself survives a crash). Readers
+/// and crashes see the old file or the whole new one, and an input mapped
+/// from `path` keeps its old inode until it is unmapped.
+Status WriteAtomically(const std::string& path,
+                       const std::function<Status(const std::string&)>& write) {
+  const std::string tmp = path + ".tmp";
+  Status status = write(tmp);
+  if (status.ok()) status = SyncPath(tmp, O_WRONLY);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = ErrnoStatus("cannot rename " + tmp + " over", path);
+  }
+  if (!status.ok()) {
+    std::remove(tmp.c_str());
+    return status;
+  }
+  const size_t slash = path.find_last_of('/');
+  return SyncPath(slash == std::string::npos ? "." : path.substr(0, slash + 1),
+                  O_RDONLY | O_DIRECTORY);
+}
+
+/// Writes the artifact crash-safely (WriteAtomically); `graph` (v3 only)
+/// becomes its ann_graph section.
 Status WriteArtifact(const IndexReader& index, const std::string& format,
-                     const std::string& path) {
-  if (format == "v3") return WriteArenaFile(index, path);
-  if (format == "v2") {
+                     const std::string& path,
+                     const ProximityGraph* graph = nullptr) {
+  if (format != "v3" && format != "v2") {
+    return Status::InvalidArgument("unknown artifact format: " + format +
+                                   " (expected v2 or v3)");
+  }
+  return WriteAtomically(path, [&](const std::string& tmp) -> Status {
+    if (format == "v3") return WriteArenaFile(index, tmp, graph);
     // The v2 writer lives on the owning index; materialize when needed.
     if (const auto* owned = dynamic_cast<const GbdaIndex*>(&index)) {
-      return owned->SaveToFile(path);
+      return owned->SaveToFile(tmp);
     }
     const auto* view = dynamic_cast<const GbdaIndexView*>(&index);
     if (view == nullptr) {
@@ -100,10 +151,8 @@ Status WriteArtifact(const IndexReader& index, const std::string& format,
     }
     Result<GbdaIndex> materialized = view->Materialize();
     if (!materialized.ok()) return materialized.status();
-    return materialized->SaveToFile(path);
-  }
-  return Status::InvalidArgument("unknown artifact format: " + format +
-                                 " (expected v2 or v3)");
+    return materialized->SaveToFile(tmp);
+  });
 }
 
 /// Parses the shared --ann-* knobs; returns false on an unrecognized flag.
@@ -169,7 +218,7 @@ int RunBuild(int argc, char** argv) {
     Result<ProximityGraph> graph =
         BuildProximityGraph(FingerprintStore::FromIndex(*index), ann_params);
     if (!graph.ok()) return Fail(graph.status());
-    Status written = WriteArenaFile(*index, out_path, &*graph);
+    Status written = WriteArtifact(*index, "v3", out_path, &*graph);
     if (!written.ok()) return Fail(written);
     std::printf(
         "built v3 artifact %s: %zu graphs, tau_max=%lld, ann_graph "
@@ -214,7 +263,7 @@ int RunGraph(int argc, char** argv) {
   Result<ProximityGraph> graph =
       BuildProximityGraph(FingerprintStore::FromIndex(*view), ann_params);
   if (!graph.ok()) return Fail(graph.status());
-  Status written = WriteArenaFile(*view, out_path, &*graph);
+  Status written = WriteArtifact(*view, "v3", out_path, &*graph);
   if (!written.ok()) return Fail(written);
   std::printf(
       "wrote %s: %zu graphs with ann_graph (degree<=%u, %llu edges, "
