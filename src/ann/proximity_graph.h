@@ -86,13 +86,10 @@ class FingerprintStore {
   /// cheap path when profiles already exist (both services hold them).
   static FingerprintStore FromPrefilter(const Prefilter& prefilter);
 
-  /// Fingerprints each graph's branch multiset straight from the index —
-  /// the path for mapped artifacts, where no Graph objects or profiles
-  /// exist. When the backing exposes candidate columns (index.columns())
-  /// the per-graph sorted fingerprint blob is copied wholesale; otherwise
-  /// each branch is hashed (BranchFingerprint) and sorted per graph.
-  /// Either way produces exactly the keys FromPrefilter would: the
-  /// fingerprints hash the same (root, edge-label multiset) content.
+  /// Copies the per-graph sorted fingerprint column (index.columns())
+  /// wholesale — the path for mapped artifacts, where no Graph objects or
+  /// profiles exist. Produces exactly the keys FromPrefilter would: both
+  /// hash the same (root, edge-label multiset) content.
   static FingerprintStore FromIndex(const IndexReader& index);
 
   size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }

@@ -119,16 +119,11 @@ Result<ScanContext> PrepareScan(const Graph& query,
       }
     }
   }
-  // Ranking scans that may arm early termination build the profile even
-  // without the prefilter: the pruning bound sharpens its GBD lower bound
-  // through it whenever candidate profiles are available (see ScanRange).
-  // Approximate ranking scans always need it — the proximity-graph
-  // navigation keys off the profile's sorted branch fingerprints. A
-  // disarmed exhaustive ranking scan (topk_early_termination off, or no
-  // bounds passed) never reads it, so it skips the build.
-  if (options.use_prefilter ||
-      (!apply_gamma &&
-       (options.topk_early_termination || options.approximate))) {
+  // The prefilter's pass/fail test reads the profile, and approximate
+  // ranking scans navigate the proximity graph by its sorted branch
+  // fingerprints. Every other scan reads candidate sizes and fingerprints
+  // from the index columns only, so it skips the build.
+  if (options.use_prefilter || (!apply_gamma && options.approximate)) {
     // Reuses the branches extracted above instead of a second pass.
     ctx.query_profile = BuildFilterProfile(query, ctx.query_branches);
   }
@@ -200,9 +195,8 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // Early termination applies only to ranking scans (every candidate is a
   // match, so the k-th best match is a pruning witness); a threshold scan
   // must score every surviving candidate. The ctx flag is part of the
-  // guard: a context prepared with topk_early_termination off skipped the
-  // query-profile build, and arming tier 2 against that empty profile
-  // would prune unsoundly.
+  // guard, so a context prepared with topk_early_termination off always
+  // scans exhaustively.
   const bool prune = bounds != nullptr && !ctx.apply_gamma &&
                      bounds->k() > 0 && ctx.options.topk_early_termination;
   // The k best (phi_score, gbd) pairs appended by THIS call under the
@@ -288,20 +282,12 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     }
     return max_size - common_ub;
   };
-  // Candidate-side sorted fingerprint keys for the tier-2 cut: the column
-  // blob when the backing provides one (zero pointer chases), the
-  // prefilter profile otherwise. Tier 2 is live whenever either source
-  // exists — columns arm it even on scans that never built a Prefilter.
-  const bool have_fps = columns.present() || prefilter != nullptr;
+  // Candidate-side sorted fingerprint keys for the tier-2 cut, read from
+  // the column blob (zero pointer chases), so tier 2 is live on every scan.
   const auto candidate_fps = [&](size_t id, size_t* n) -> const uint64_t* {
-    if (columns.present()) {
-      const uint64_t lo = columns.fp_offsets[id];
-      *n = static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
-      return columns.fp_keys + lo;
-    }
-    const std::vector<uint64_t>& keys = prefilter->profile(id).branch_keys;
-    *n = keys.size();
-    return keys.data();
+    const uint64_t lo = columns.fp_offsets[id];
+    *n = static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
+    return columns.fp_keys + lo;
   };
   const uint64_t* query_keys = ctx.query_fps.data();
   const size_t query_keys_n = ctx.query_fps.size();
@@ -367,10 +353,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     }
     if (do_prune) {
       for (size_t j = 0; j < admitted; ++j) {
-        blk_sizes[j] = columns.present()
-                           ? columns.sizes[blk_ids[j]]
-                           : static_cast<uint32_t>(
-                                 index.branch_set(blk_ids[j]).size());
+        blk_sizes[j] = columns.sizes[blk_ids[j]];
       }
       // Tier 1 for the whole block in one kernel sweep: for non-weighted
       // variants the bound is exactly |query size - candidate size|.
@@ -447,7 +430,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
         // Tier 1 costs two array loads; tier 2 a capped kernel merge,
         // still far cheaper than the full scoring it stands in for.
         bool pruned = strictly_worse(tier1_ub[g_size], tier1_lb[g_size]);
-        if (!pruned && have_fps && table_by_size[g_size] != nullptr) {
+        if (!pruned && table_by_size[g_size] != nullptr) {
           size_t cn = 0;
           const uint64_t* ck = candidate_fps(id, &cn);
           if (options.variant == GbdaVariant::kWeightedGbd) {
@@ -646,11 +629,8 @@ Result<SearchResult> GbdaSearch::Scan(const Graph& query,
   const bool early_terminate = !apply_gamma && top_k != kScanAllMatches &&
                                top_k < db_->size() &&
                                options.topk_early_termination;
-  // Armed ranking scans build the prefilter too: its profiles sharpen the
-  // early-termination bound (see ScanRange) even when the pass/fail layer
-  // stays off — one lazy O(corpus) build, amortized across all queries.
   const Prefilter* prefilter = nullptr;
-  if (options.use_prefilter || early_terminate) {
+  if (options.use_prefilter) {
     std::call_once(prefilter_once_,
                    [this] { prefilter_ = std::make_unique<Prefilter>(db_); });
     prefilter = prefilter_.get();

@@ -15,7 +15,7 @@
 /// the serial scan; see docs/ARCHITECTURE.md, "Serving layer".
 ///
 /// Both halves consume the index through the IndexReader contract
-/// (core/index_reader.h), so a decoded GbdaIndex and a mapped v3 artifact
+/// (core/index_reader.h), so an owned GbdaIndex and a mapped v3 artifact
 /// (storage/index_view.h) serve queries through one code path with
 /// bit-identical results.
 
@@ -264,10 +264,8 @@ struct ScanContext {
   /// multisets themselves).
   bool fp_exact = false;
 
-  /// Built when the prefilter is on, and for every ranking scan
-  /// (apply_gamma == false): the top-k early-termination bound reads the
-  /// query's vertex-label multiset through it when candidate profiles are
-  /// available.
+  /// Built when the prefilter is on (its pass/fail test reads it) and for
+  /// approximate ranking scans (navigation reads branch_keys).
   FilterProfile query_profile;
   int64_t v1_size = 0;  // only meaningful for GbdaVariant::kAverageSize
 };
@@ -286,9 +284,8 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// matches to result->matches (in ascending id order) and accumulating
 /// candidates_evaluated / prefiltered_out, so per-shard results sum to the
 /// serial scan's counters. `prefilter` may be null when
-/// ctx.options.use_prefilter is false; when non-null its profiles also
-/// sharpen the early-termination bound below, independent of
-/// use_prefilter (the dynamic serving path always has them at hand).
+/// ctx.options.use_prefilter is false; candidate sizes and fingerprints
+/// always come from index.columns().
 /// Thread-compatible: concurrent calls are safe when each uses its own
 /// `posterior` and `result` (the index, prefilter and ctx are only read;
 /// `bounds` is internally synchronized).
@@ -300,9 +297,9 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// skips a candidate — counting it in pruned_by_bound instead of scoring
 /// it — when the candidate provably ranks strictly after that witness (or
 /// after the cross-shard phi witness in bounds->threshold()). The proof
-/// pushes a GBD lower bound — from multiset sizes (tier 1, O(1)), then
-/// from profile branch-fingerprint intersections when `prefilter` is
-/// non-null (tier 2, capped early-exit merge) — through
+/// pushes a GBD lower bound — from the size column (tier 1, O(1)), then
+/// from fingerprint-column intersections (tier 2, capped early-exit
+/// merge) — through
 /// PosteriorEngine::PhiSuffixMax; a tie in the bounded phi falls through
 /// to the gbd tie-break, so pruning stays live even when the k-th best
 /// phi_score is exactly 0. Every skip is provably outside the query's
@@ -343,10 +340,10 @@ Status ScanCandidateList(const ScanContext& ctx, const IndexReader& index,
 class GbdaSearch {
  public:
   /// Checked construction: fails when `index` does not agree with `db`
-  /// (graph counts and per-graph branch sizes), e.g. a stale LoadFromFile
+  /// (graph counts and per-graph branch sizes), e.g. a stale index
   /// artifact. Prefer this over the raw constructor whenever the index
-  /// provenance is not statically known. Accepts any IndexReader — a
-  /// decoded GbdaIndex or a mapped GbdaIndexView.
+  /// provenance is not statically known. Accepts any IndexReader — an
+  /// owned GbdaIndex or a mapped GbdaIndexView.
   static Result<std::unique_ptr<GbdaSearch>> Create(const GraphDatabase* db,
                                                     const IndexReader* index);
 

@@ -10,7 +10,7 @@ namespace {
 
 /// Shared tail check: every message decoder calls this last so a payload
 /// with valid fields followed by junk is rejected, exactly like the
-/// artifact loaders (core/gbda_index.cc LoadFromFile).
+/// arena's prior-blob decoders (storage/index_view.cc).
 Status RejectTrailing(const BinaryReader& reader) {
   if (!reader.AtEnd()) {
     return Status::InvalidArgument(

@@ -194,22 +194,13 @@ Result<std::vector<SearchResult>> GbdaService::RunBatch(
         "database is tombstoned: the frozen scan cannot serve a mutated "
         "corpus — use DynamicGbdaService");
   }
-  // Profiles are also the early-termination bound's teeth (ScanRange
-  // sharpens its GBD lower bound through them without ever consulting
-  // Passes), so an armed ranking scan builds them even when the prefilter
-  // itself is off — one lazy O(corpus) build, amortized across all
-  // queries. Mirrors ParallelScanBatch's arming condition exactly (incl.
-  // k >= corpus, which never prunes), so the build never runs unread.
-  const bool pruned_ranking = top_k != kScanAllMatches && !apply_gamma &&
-                              top_k < shards_.num_graphs() &&
-                              options.topk_early_termination;
   // Approximate navigation serves concrete-k rankings only: threshold
   // queries are defined over the whole corpus, and a clamped k of 0 (empty
-  // corpus) already has a defined-empty exhaustive answer.
+  // corpus) already has a defined-empty exhaustive answer. Its fingerprint
+  // store comes from the prefilter profiles, so it builds them too.
   const bool approximate = options.approximate && !apply_gamma &&
                            top_k != kScanAllMatches && top_k > 0;
-  const Prefilter* prefilter = options.use_prefilter || pruned_ranking ||
-                                       approximate
+  const Prefilter* prefilter = options.use_prefilter || approximate
                                    ? EnsurePrefilter()
                                    : nullptr;
   ParallelScanEnv env{&pool_, &shards_, index_, prefilter, CorpusRef(db_),

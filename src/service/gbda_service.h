@@ -129,7 +129,7 @@ void AccumulateServiceStats(const std::vector<SearchResult>& results,
 
 /// Concurrent sharded query engine over a prebuilt index. The index is
 /// consumed through the IndexReader contract (core/index_reader.h), so the
-/// service serves equally from a decoded GbdaIndex and from a zero-copy
+/// service serves equally from an owned GbdaIndex and from a zero-copy
 /// GbdaIndexView over a mapped v3 artifact (storage/index_view.h) — results
 /// are bit-identical either way. Thread-safe: concurrent public calls are
 /// allowed (they share the pool and the per-worker engines; statistics are
@@ -138,7 +138,7 @@ void AccumulateServiceStats(const std::vector<SearchResult>& results,
 class GbdaService {
  public:
   /// Checked construction: fails when `index` does not agree with `db`
-  /// (graph counts and per-graph branch sizes), e.g. a stale LoadFromFile
+  /// (graph counts and per-graph branch sizes), e.g. a stale arena
   /// artifact — an undetected mismatch would drive out-of-bounds branch and
   /// prefilter lookups in the shard scans.
   static Result<std::unique_ptr<GbdaService>> Create(

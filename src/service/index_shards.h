@@ -23,7 +23,7 @@ namespace gbda {
 /// into the shared index. Ids are positions in the partitioned index
 /// (absolute database ids for a frozen database, dense live positions for a
 /// dynamic snapshot). The index is consumed through the IndexReader contract,
-/// so shards partition a decoded GbdaIndex and a mapped v3 artifact alike.
+/// so shards partition an owned GbdaIndex and a mapped v3 artifact alike.
 class ShardView {
  public:
   ShardView(size_t shard_id, size_t begin, size_t end,

@@ -69,9 +69,8 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
 /// shard) running ann/AnnSearchTopK over the whole corpus — beam
 /// navigation is a global walk, so sharding it would change which
 /// candidates it visits. `env.shards` is unused; `env.prefilter` plays its
-/// usual two roles inside the verification scan (admission when
-/// options.use_prefilter, bound sharpening when early termination is
-/// armed). top_k must be a real k (not 0, not kScanAllMatches) — callers
+/// usual role inside the verification scan (admission when
+/// options.use_prefilter). top_k must be a real k (not 0, not kScanAllMatches) — callers
 /// route those to the exhaustive path. Returned matches are a subset of
 /// the exhaustive top-k with bit-exact scores; only the match SET is
 /// approximate (see ann/navigator.h).

@@ -168,47 +168,47 @@ TEST_F(AnnArenaTest, ViewExposesTheMappedGraph) {
   EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
 }
 
-TEST_F(AnnArenaTest, MaterializeDropsTheGraph) {
-  Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
-  ASSERT_TRUE(view.ok());
-  Result<GbdaIndex> materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  Result<std::string> rebuilt = BuildArena(*materialized);
-  ASSERT_TRUE(rebuilt.ok());
-  Result<ArenaInfo> info = ParseArenaHeader(*rebuilt, "rebuilt");
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->FindSection(kSecAnnGraph), nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // Forward compatibility: unknown trailing sections are skipped
 // ---------------------------------------------------------------------------
 
-TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
-  // Simulate an artifact from a future build: relabel every
-  // candidate-column entry with ids this reader does not know (43...).
-  // Trailing ids must stay strictly increasing, so the group after the
-  // ann_graph entry is the one that can take fresh ids. This doubles as
-  // the column-fallback regression: a view without columns serves through
-  // branch walks, bit-identically.
-  std::string future = ReadFile(*arena_path_);
-  Result<ArenaInfo> original = ParseArenaHeader(future, *arena_path_);
-  ASSERT_TRUE(original.ok());
+/// Rewrites the table ids of every trailing section with id >= `first_id`
+/// to fresh ids 43, 44, ... — ids this reader does not know — keeping them
+/// strictly increasing, and re-seals the header CRC.
+std::string RelabelTrailingSections(const std::string& data,
+                                    const ArenaInfo& info, uint32_t first_id) {
+  std::string out = data;
   uint32_t next_id = 43;
-  for (size_t s = kArenaSectionCount; s < original->sections.size(); ++s) {
-    if (original->sections[s].id >= kSecGraphSizes) {
-      PatchU32(&future, SectionEntryOffset(s, 0), next_id++);
+  for (size_t s = kArenaSectionCount; s < info.sections.size(); ++s) {
+    if (info.sections[s].id >= first_id) {
+      PatchU32(&out, SectionEntryOffset(s, 0), next_id++);
     }
   }
-  FixMetaCrc(&future);
+  FixMetaCrc(&out);
+  return out;
+}
+
+TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
+  // Simulate an artifact from a future build: relabel the optional
+  // exactness-directory pair (ids 11/12) with ids this reader does not
+  // know (43/44). The mandatory columns stay, so the view opens, serves
+  // through them without the directory, and answers bit-identically.
+  const std::string data = ReadFile(*arena_path_);
+  Result<ArenaInfo> original = ParseArenaHeader(data, *arena_path_);
+  ASSERT_TRUE(original.ok());
+  ASSERT_NE(original->FindSection(kSecFpUnique), nullptr)
+      << "fixture corpus must certify fingerprint exactness";
+  const std::string future =
+      RelabelTrailingSections(data, *original, kSecFpUnique);
   const std::string path = ::testing::TempDir() + "/ann_arena_future.v3";
   WriteFile(path, future);
 
   Result<ArenaInfo> info = ParseArenaHeader(future, path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_NE(info->FindSection(43), nullptr);
-  EXPECT_EQ(info->FindSection(kSecGraphSizes), nullptr);
-  EXPECT_EQ(info->FindSection(kSecFpKeys), nullptr);
+  EXPECT_NE(info->FindSection(44), nullptr);
+  EXPECT_EQ(info->FindSection(kSecFpUnique), nullptr);
+  EXPECT_EQ(info->FindSection(kSecFpRep), nullptr);
   // Checksum verification still covers the unknown payloads.
   EXPECT_TRUE(VerifyArenaChecksums(future, *info, path).ok());
 
@@ -217,11 +217,12 @@ TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
   Result<GbdaIndexView> view = GbdaIndexView::Open(path, verify);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_TRUE(view->has_ann_graph());
-  EXPECT_FALSE(view->columns().present());
+  EXPECT_FALSE(view->columns().exactness_certified());
 
   // Minus the skipped feature, the artifact serves bit-identically.
   Result<GbdaIndexView> reference = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->columns().exactness_certified());
   GbdaSearch future_search(&dataset_->db, &*view);
   GbdaSearch reference_search(&dataset_->db, &*reference);
   SearchOptions options;
@@ -238,6 +239,28 @@ TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
     EXPECT_EQ(a->matches[i].phi_score, b->matches[i].phi_score);
     EXPECT_EQ(a->matches[i].gbd, b->matches[i].gbd);
   }
+}
+
+TEST_F(AnnArenaTest, ArenaWithoutCandidateColumnsIsRejected) {
+  // Relabelling every column section (ids 8..12) leaves an arena shaped
+  // like one written before the columns existed. The columns are
+  // mandatory, so the open fails with a typed error naming them.
+  const std::string data = ReadFile(*arena_path_);
+  Result<ArenaInfo> original = ParseArenaHeader(data, *arena_path_);
+  ASSERT_TRUE(original.ok());
+  const std::string stripped =
+      RelabelTrailingSections(data, *original, kSecGraphSizes);
+  const std::string path = ::testing::TempDir() + "/ann_arena_nocolumns.v3";
+  WriteFile(path, stripped);
+
+  Result<GbdaIndexView> view = GbdaIndexView::Open(path);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = view.status().message();
+  for (const char* name : {"graph_sizes", "fp_offsets", "fp_keys"}) {
+    EXPECT_NE(message.find(name), std::string::npos) << message;
+  }
+  EXPECT_NE(message.find("rebuild"), std::string::npos) << message;
 }
 
 TEST_F(AnnArenaTest, TrailingSectionIdsMustStrictlyIncrease) {

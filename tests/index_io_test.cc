@@ -1,41 +1,13 @@
+// GbdaIndex lifecycle checks outside persistence: Build's argument
+// validation and the atomicity of RemoveGraphs. The arena format itself is
+// covered by storage_test, arena_columns_test and ann_arena_test.
 #include <gtest/gtest.h>
 
-#include <fstream>
-
-#include "common/serialize.h"
 #include "core/gbda_index.h"
-#include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
-#include "graph/generators.h"
 
 namespace gbda {
 namespace {
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-// A syntactically valid index header (magic..avg_vertices), ready for a
-// hostile body. Field order mirrors GbdaIndex::SaveToFile.
-BinaryWriter ValidHeader(int64_t tau_max = 5) {
-  BinaryWriter w;
-  w.PutU32(0x47424441);  // magic
-  w.PutU32(2);           // version
-  w.PutI64(tau_max);
-  w.PutU64(500);       // sample pairs
-  w.PutU64(1234);      // seed
-  w.PutDouble(1e-12);  // probability floor
-  w.PutI64(3);         // GMM components
-  w.PutI64(200);       // GMM iterations
-  w.PutDouble(1e-7);   // GMM tolerance
-  w.PutDouble(0.25);   // GMM stddev floor
-  w.PutU64(42);        // GMM seed
-  w.PutI64(3);         // |L_V|
-  w.PutI64(2);         // |L_E|
-  w.PutDouble(4.0);
-  return w;
-}
 
 class IndexIoTest : public ::testing::Test {
  protected:
@@ -54,320 +26,6 @@ class IndexIoTest : public ::testing::Test {
 };
 
 GeneratedDataset* IndexIoTest::dataset_ = nullptr;
-
-TEST_F(IndexIoTest, SaveLoadRoundTripPreservesQueries) {
-  GbdaIndexOptions options;
-  options.tau_max = 8;
-  options.gbd_prior.num_sample_pairs = 1000;
-  // Non-default prior knobs so the options round-trip check is meaningful.
-  options.gbd_prior.probability_floor = 1e-10;
-  options.gbd_prior.gmm.num_components = 2;
-  options.gbd_prior.gmm.stddev_floor = 0.5;
-  options.gbd_prior.gmm.seed = 7;
-  Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-
-  const std::string path = ::testing::TempDir() + "/gbda_index_test.bin";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-  Result<GbdaIndex> loaded = GbdaIndex::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  EXPECT_EQ(loaded->num_graphs(), built->num_graphs());
-  EXPECT_EQ(loaded->tau_max(), built->tau_max());
-  EXPECT_EQ(loaded->num_vertex_labels(), built->num_vertex_labels());
-  EXPECT_DOUBLE_EQ(loaded->avg_vertices(), built->avg_vertices());
-  // v2 format: the full prior options round-trip, so an incremental
-  // RefitGbdPrior on the loaded artifact runs Build's exact arithmetic.
-  EXPECT_EQ(loaded->options().gbd_prior.num_sample_pairs,
-            built->options().gbd_prior.num_sample_pairs);
-  EXPECT_EQ(loaded->options().gbd_prior.probability_floor,
-            built->options().gbd_prior.probability_floor);
-  EXPECT_EQ(loaded->options().gbd_prior.gmm.num_components,
-            built->options().gbd_prior.gmm.num_components);
-  EXPECT_EQ(loaded->options().gbd_prior.gmm.max_iterations,
-            built->options().gbd_prior.gmm.max_iterations);
-  EXPECT_EQ(loaded->options().gbd_prior.gmm.tolerance,
-            built->options().gbd_prior.gmm.tolerance);
-  EXPECT_EQ(loaded->options().gbd_prior.gmm.stddev_floor,
-            built->options().gbd_prior.gmm.stddev_floor);
-  EXPECT_EQ(loaded->options().gbd_prior.gmm.seed,
-            built->options().gbd_prior.gmm.seed);
-  for (size_t i = 0; i < built->num_graphs(); ++i) {
-    EXPECT_EQ(loaded->branches(i), built->branches(i)) << "graph " << i;
-  }
-
-  // The loaded index answers queries identically.
-  GbdaSearch search_built(&dataset_->db, &*built);
-  GbdaSearch search_loaded(&dataset_->db, &*loaded);
-  SearchOptions opts;
-  opts.tau_hat = 6;
-  opts.gamma = 0.5;
-  for (size_t q = 0; q < std::min<size_t>(dataset_->queries.size(), 3); ++q) {
-    Result<SearchResult> a = search_built.Query(dataset_->queries[q], opts);
-    Result<SearchResult> b = search_loaded.Query(dataset_->queries[q], opts);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->matches.size(), b->matches.size());
-    for (size_t i = 0; i < a->matches.size(); ++i) {
-      EXPECT_EQ(a->matches[i].graph_id, b->matches[i].graph_id);
-      EXPECT_NEAR(a->matches[i].phi_score, b->matches[i].phi_score, 1e-12);
-    }
-  }
-}
-
-TEST_F(IndexIoTest, LoadRejectsMissingFile) {
-  Result<GbdaIndex> r = GbdaIndex::LoadFromFile("/nonexistent/index.bin");
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-}
-
-TEST_F(IndexIoTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/gbda_garbage.bin";
-  std::ofstream(path) << "this is not an index";
-  Result<GbdaIndex> r = GbdaIndex::LoadFromFile(path);
-  EXPECT_FALSE(r.ok());
-}
-
-TEST_F(IndexIoTest, LoadRejectsTruncatedIndex) {
-  GbdaIndexOptions options;
-  options.tau_max = 5;
-  options.gbd_prior.num_sample_pairs = 500;
-  Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
-  ASSERT_TRUE(built.ok());
-  const std::string path = ::testing::TempDir() + "/gbda_trunc.bin";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-
-  // Truncate the file to half.
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
-  out.close();
-
-  EXPECT_FALSE(GbdaIndex::LoadFromFile(path).ok());
-}
-
-TEST_F(IndexIoTest, LoadRejectsUnsupportedVersion) {
-  BinaryWriter w;
-  w.PutU32(0x47424441);
-  w.PutU32(999);
-  const std::string path = ::testing::TempDir() + "/gbda_bad_version.bin";
-  WriteFile(path, w.buffer());
-  Result<GbdaIndex> r = GbdaIndex::LoadFromFile(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotSupported);
-}
-
-TEST_F(IndexIoTest, LoadRejectsImplausibleTau) {
-  // Negative, and too large to ever evaluate: lazy GED-prior rows cost
-  // O(tau^2) memory / O(tau^3+) time, so an unbounded hostile tau_max would
-  // turn the first query into an OOM or a hang.
-  for (int64_t hostile : {int64_t{-3}, int64_t{5000}, int64_t{1} << 40}) {
-    BinaryWriter w = ValidHeader(/*tau_max=*/hostile);
-    w.PutU64(0);  // num_graphs
-    const std::string path = ::testing::TempDir() + "/gbda_bad_tau.bin";
-    WriteFile(path, w.buffer());
-    EXPECT_FALSE(GbdaIndex::LoadFromFile(path).ok()) << "tau=" << hostile;
-  }
-}
-
-TEST_F(IndexIoTest, LoadRejectsAbsurdGraphCount) {
-  // A 70-odd-byte file claiming ~2^63 graphs used to reach
-  // branches_.resize(num_graphs) and demand gigabytes before the first
-  // per-graph read could fail. The count must be validated against the
-  // bytes actually remaining.
-  for (uint64_t hostile : {~uint64_t{0}, uint64_t{1} << 62,
-                           uint64_t{1} << 32, uint64_t{100000}}) {
-    BinaryWriter w = ValidHeader();
-    w.PutU64(hostile);
-    const std::string path = ::testing::TempDir() + "/gbda_absurd_count.bin";
-    WriteFile(path, w.buffer());
-    Result<GbdaIndex> r = GbdaIndex::LoadFromFile(path);
-    ASSERT_FALSE(r.ok()) << "num_graphs=" << hostile;
-    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
-  }
-}
-
-TEST_F(IndexIoTest, LoadRejectsAbsurdBranchCount) {
-  // One graph whose branch count claims more records than the file holds.
-  for (uint64_t hostile : {~uint64_t{0}, uint64_t{1} << 61, uint64_t{4096}}) {
-    BinaryWriter w = ValidHeader();
-    w.PutU64(1);        // num_graphs
-    w.PutU64(hostile);  // branch count of graph 0
-    const std::string path = ::testing::TempDir() + "/gbda_absurd_branch.bin";
-    WriteFile(path, w.buffer());
-    Result<GbdaIndex> r = GbdaIndex::LoadFromFile(path);
-    ASSERT_FALSE(r.ok()) << "count=" << hostile;
-    EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
-  }
-}
-
-TEST_F(IndexIoTest, LoadRejectsInconsistentEmbeddedPriorHeader) {
-  // Both headers pass their independent plausibility checks, but the GED
-  // prior claims tau_max = 3 while the index admits tau_hat up to 5 — the
-  // table would silently return zero mass for tau in (3, 5].
-  BinaryWriter w = ValidHeader(/*tau_max=*/5);
-  w.PutU64(0);  // num_graphs
-  // Minimal GbdPrior blob: pairs, floor, one GMM component, empty tables.
-  w.PutU64(10);
-  w.PutDouble(1e-12);
-  w.PutU64(1);
-  w.PutDouble(1.0);  // weight
-  w.PutDouble(0.0);  // mean
-  w.PutDouble(1.0);  // stddev
-  w.PutPodVector<double>({});
-  w.PutPodVector<size_t>({});
-  // GedPriorTable blob with a disagreeing tau_max.
-  w.PutI64(3);  // |L_V| (matches)
-  w.PutI64(2);  // |L_E| (matches)
-  w.PutI64(3);  // tau_max (index header says 5)
-  w.PutU64(0);  // no cached rows
-  const std::string path = ::testing::TempDir() + "/gbda_prior_mismatch.bin";
-  WriteFile(path, w.buffer());
-  Result<GbdaIndex> r = GbdaIndex::LoadFromFile(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(IndexIoTest, LoadRejectsTrailingBytes) {
-  GbdaIndexOptions options;
-  options.tau_max = 5;
-  options.gbd_prior.num_sample_pairs = 500;
-  Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
-  ASSERT_TRUE(built.ok());
-  const std::string path = ::testing::TempDir() + "/gbda_trailing.bin";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  data.append("junk");
-  WriteFile(path, data);
-  EXPECT_FALSE(GbdaIndex::LoadFromFile(path).ok());
-}
-
-// The v2 integrity footer: magic + section count + 4 section CRCs.
-// (footer size exported by gbda_index.h as kIndexV2FooterBytes)
-
-TEST_F(IndexIoTest, EveryTruncationPrefixFailsCleanly) {
-  // Exhaustive truncation sweep over a small real index: no prefix of a
-  // valid file may load, crash, or over-allocate — except the one prefix
-  // that strips exactly the integrity footer, which loads by design (the
-  // backward-compatibility window for footer-less pre-CRC artifacts). Uses
-  // a hand-built tiny database so the sweep stays a few thousand parses.
-  GraphDatabase tiny;
-  tiny.vertex_labels().InternNumbered(3);
-  tiny.edge_labels().InternNumbered(2);
-  Rng rng(7);
-  for (size_t i = 0; i < 4; ++i) {
-    GeneratorOptions gen;
-    gen.num_vertices = 5 + i;
-    gen.extra_edges = 3;
-    gen.num_vertex_labels = 3;
-    gen.num_edge_labels = 2;
-    Result<Graph> g = GenerateConnectedGraph(gen, &rng);
-    ASSERT_TRUE(g.ok());
-    tiny.Add(std::move(*g));
-  }
-  GbdaIndexOptions options;
-  options.tau_max = 3;
-  options.gbd_prior.num_sample_pairs = 10;
-  Result<GbdaIndex> built = GbdaIndex::Build(tiny, options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const std::string path = ::testing::TempDir() + "/gbda_prefix.bin";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_TRUE(GbdaIndex::LoadFromFile(path).ok());
-  ASSERT_GT(data.size(), kIndexV2FooterBytes);
-  const size_t payload = data.size() - kIndexV2FooterBytes;
-  for (size_t len = 0; len < data.size(); ++len) {
-    WriteFile(path, data.substr(0, len));
-    if (len == payload) {
-      EXPECT_TRUE(GbdaIndex::LoadFromFile(path).ok())
-          << "footer-less payload must stay loadable (compat window)";
-    } else {
-      EXPECT_FALSE(GbdaIndex::LoadFromFile(path).ok()) << "prefix " << len;
-    }
-  }
-}
-
-TEST_F(IndexIoTest, FooterCatchesSingleBitFlips) {
-  // Regression for the CRC32 footer: a single flipped bit anywhere in the
-  // payload must be rejected as DataLoss, with the message naming the
-  // artifact. Sampled offsets cover all four sections.
-  GbdaIndexOptions options;
-  options.tau_max = 4;
-  options.gbd_prior.num_sample_pairs = 200;
-  Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
-  ASSERT_TRUE(built.ok());
-  const std::string path = ::testing::TempDir() + "/gbda_bitflip.bin";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(data.size(), kIndexV2FooterBytes);
-  const size_t payload = data.size() - kIndexV2FooterBytes;
-  // ~17 offsets spread over the payload, plus the first/last payload byte.
-  std::vector<size_t> offsets = {0, payload - 1};
-  for (size_t k = 1; k < 16; ++k) offsets.push_back(k * payload / 16);
-  for (size_t off : offsets) {
-    std::string corrupt = data;
-    corrupt[off] = static_cast<char>(corrupt[off] ^ 0x10);
-    WriteFile(path, corrupt);
-    Result<GbdaIndex> r = GbdaIndex::LoadFromFile(path);
-    ASSERT_FALSE(r.ok()) << "flip at byte " << off << " not caught";
-    // Structural validation may reject the flip first (e.g. a corrupted
-    // length word); when it reaches the footer the code is DataLoss and the
-    // message names artifact and section.
-    if (r.status().code() == StatusCode::kDataLoss) {
-      EXPECT_NE(r.status().message().find(path), std::string::npos);
-      EXPECT_NE(r.status().message().find("section"), std::string::npos);
-    }
-  }
-}
-
-TEST_F(IndexIoTest, DecodeErrorsNameFileAndOffset) {
-  // Corrupt-artifact triage is actionable only when the failure names the
-  // file and the byte offset of the bad record.
-  GbdaIndexOptions options;
-  options.tau_max = 4;
-  options.gbd_prior.num_sample_pairs = 200;
-  Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
-  ASSERT_TRUE(built.ok());
-  const std::string path = ::testing::TempDir() + "/gbda_err_context.bin";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-
-  // Truncation mid-record: the reader's own message carries the context.
-  WriteFile(path, data.substr(0, 40));
-  Result<GbdaIndex> truncated = GbdaIndex::LoadFromFile(path);
-  ASSERT_FALSE(truncated.ok());
-  EXPECT_NE(truncated.status().message().find(path), std::string::npos)
-      << truncated.status().message();
-  EXPECT_NE(truncated.status().message().find("at byte"), std::string::npos)
-      << truncated.status().message();
-
-  // A hostile branch count: the loader's structural message carries it too.
-  BinaryWriter w = ValidHeader();
-  w.PutU64(1);              // num_graphs
-  w.PutU64(~uint64_t{0});   // branch count of graph 0
-  WriteFile(path, w.buffer());
-  Result<GbdaIndex> hostile = GbdaIndex::LoadFromFile(path);
-  ASSERT_FALSE(hostile.ok());
-  EXPECT_NE(hostile.status().message().find(path), std::string::npos)
-      << hostile.status().message();
-  EXPECT_NE(hostile.status().message().find("at byte"), std::string::npos)
-      << hostile.status().message();
-}
 
 TEST_F(IndexIoTest, IndexRemoveGraphsIsAtomicOnInvalidBatch) {
   GbdaIndexOptions options;
@@ -390,38 +48,6 @@ TEST_F(IndexIoTest, IndexRemoveGraphsIsAtomicOnInvalidBatch) {
   EXPECT_EQ(built->num_live(), live_before);
 }
 
-TEST_F(IndexIoTest, SaveRejectsTombstonedIndex) {
-  GbdaIndexOptions options;
-  options.tau_max = 4;
-  options.gbd_prior.num_sample_pairs = 200;
-  Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
-  ASSERT_TRUE(built.ok());
-  ASSERT_TRUE(built->RemoveGraphs({0}).ok());
-  const std::string path = ::testing::TempDir() + "/gbda_tombstoned.bin";
-  Status saved = built->SaveToFile(path);
-  ASSERT_FALSE(saved.ok());
-  EXPECT_EQ(saved.code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(IndexIoTest, SaveRejectsStalePrior) {
-  // The format has no staleness field; persisting a drifted Lambda2 would
-  // come back as gbd_staleness() == 0 and defeat every refit policy.
-  GbdaIndexOptions options;
-  options.tau_max = 4;
-  options.gbd_prior.num_sample_pairs = 200;
-  Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
-  ASSERT_TRUE(built.ok());
-  built->AddGraph(dataset_->db.graph(0));
-  ASSERT_EQ(built->gbd_staleness(), 1u);
-  const std::string path = ::testing::TempDir() + "/gbda_stale.bin";
-  Status saved = built->SaveToFile(path);
-  ASSERT_FALSE(saved.ok());
-  EXPECT_EQ(saved.code(), StatusCode::kFailedPrecondition);
-  // A refit clears the drift and the artifact becomes persistable again.
-  ASSERT_TRUE(built->RefitGbdPrior().ok());
-  EXPECT_TRUE(built->SaveToFile(path).ok());
-}
-
 TEST_F(IndexIoTest, BuildRejectsEmptyDatabase) {
   GraphDatabase empty;
   GbdaIndexOptions options;
@@ -432,6 +58,32 @@ TEST_F(IndexIoTest, BuildRejectsNegativeTau) {
   GbdaIndexOptions options;
   options.tau_max = -1;
   EXPECT_FALSE(GbdaIndex::Build(dataset_->db, options).ok());
+}
+
+TEST_F(IndexIoTest, BuildRejectsWhatTheArenaReaderRejects) {
+  // Build runs the reader's own header check before allocating anything:
+  // a tau_max past the plausibility bound fails cleanly instead of sizing
+  // the GED-prior rows (a huge one would exhaust memory), as do GMM knobs
+  // the reader would refuse.
+  for (int64_t tau : {kMaxPlausibleTau + 1, int64_t{1500},
+                      int64_t{99999999999}}) {
+    GbdaIndexOptions options;
+    options.tau_max = tau;
+    Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
+    ASSERT_FALSE(built.ok()) << "tau_max " << tau;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find("implausible tau_max"),
+              std::string::npos)
+        << built.status().message();
+  }
+  GbdaIndexOptions bad_gmm;
+  bad_gmm.gbd_prior.gmm.num_components = 0;
+  EXPECT_EQ(GbdaIndex::Build(dataset_->db, bad_gmm).status().code(),
+            StatusCode::kInvalidArgument);
+  GbdaIndexOptions bad_floor;
+  bad_floor.gbd_prior.gmm.stddev_floor = 0.0;
+  EXPECT_EQ(GbdaIndex::Build(dataset_->db, bad_floor).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

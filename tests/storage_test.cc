@@ -1,6 +1,6 @@
 // The storage engine (docs/ARCHITECTURE.md, "Storage engine"): MappedFile,
 // the v3 arena writer/parser, GbdaIndexView open-time validation, corruption
-// detection, and the v2 <-> v3 conversion paths.
+// and hostile-header detection, and re-persisting a mapped view.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/crc32.h"
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
@@ -29,6 +30,22 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// Overwrites meta scalar `index` (0 = tau_max; see BuildArena's field order)
+// and re-seals the header CRC, so the edit reaches the plausibility and
+// cross-section checks instead of tripping the always-on meta checksum.
+std::string PatchMetaScalar(const std::string& data, size_t index,
+                            int64_t value) {
+  std::string out = data;
+  std::memcpy(&out[kArenaPreambleBytes + index * 8], &value, sizeof(value));
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, out.data() + 12, sizeof(section_count));
+  const uint32_t crc =
+      Crc32(out.data() + kArenaPreambleBytes,
+            ArenaHeaderBytes(section_count) - kArenaPreambleBytes);
+  std::memcpy(&out[24], &crc, sizeof(crc));
+  return out;
+}
+
 class StorageTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -38,9 +55,18 @@ class StorageTest : public ::testing::Test {
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     dataset_ = new GeneratedDataset(std::move(*ds));
 
+    // Every persisted option off its default, so the round trip proves
+    // each one is written and read back.
     GbdaIndexOptions options;
     options.tau_max = 8;
+    options.seed = 4321;
     options.gbd_prior.num_sample_pairs = 500;
+    options.gbd_prior.probability_floor = 1e-9;
+    options.gbd_prior.gmm.num_components = 2;
+    options.gbd_prior.gmm.max_iterations = 150;
+    options.gbd_prior.gmm.tolerance = 1e-6;
+    options.gbd_prior.gmm.stddev_floor = 0.3;
+    options.gbd_prior.gmm.seed = 99;
     Result<GbdaIndex> index = GbdaIndex::Build(dataset_->db, options);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = new GbdaIndex(std::move(*index));
@@ -108,11 +134,31 @@ TEST_F(StorageTest, ArenaRoundTripPreservesEveryField) {
   EXPECT_EQ(view->num_vertex_labels(), index_->num_vertex_labels());
   EXPECT_EQ(view->num_edge_labels(), index_->num_edge_labels());
   EXPECT_EQ(view->avg_vertices(), index_->avg_vertices());
-  EXPECT_EQ(view->options().seed, index_->options().seed);
-  EXPECT_EQ(view->options().gbd_prior.num_sample_pairs,
-            index_->options().gbd_prior.num_sample_pairs);
-  EXPECT_EQ(view->options().gbd_prior.gmm.seed,
-            index_->options().gbd_prior.gmm.seed);
+  const GbdaIndexOptions& got = view->options();
+  const GbdaIndexOptions& want = index_->options();
+  EXPECT_EQ(got.tau_max, want.tau_max);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.gbd_prior.num_sample_pairs, want.gbd_prior.num_sample_pairs);
+  EXPECT_EQ(got.gbd_prior.probability_floor, want.gbd_prior.probability_floor);
+  EXPECT_EQ(got.gbd_prior.gmm.num_components,
+            want.gbd_prior.gmm.num_components);
+  EXPECT_EQ(got.gbd_prior.gmm.max_iterations,
+            want.gbd_prior.gmm.max_iterations);
+  EXPECT_EQ(got.gbd_prior.gmm.tolerance, want.gbd_prior.gmm.tolerance);
+  EXPECT_EQ(got.gbd_prior.gmm.stddev_floor, want.gbd_prior.gmm.stddev_floor);
+  EXPECT_EQ(got.gbd_prior.gmm.seed, want.gbd_prior.gmm.seed);
+  // The fixture really did leave the defaults, or the checks above prove
+  // nothing about the fields a default-built index never sets.
+  const GbdaIndexOptions defaults;
+  EXPECT_NE(got.gbd_prior.probability_floor,
+            defaults.gbd_prior.probability_floor);
+  EXPECT_NE(got.gbd_prior.gmm.num_components,
+            defaults.gbd_prior.gmm.num_components);
+  EXPECT_NE(got.gbd_prior.gmm.max_iterations,
+            defaults.gbd_prior.gmm.max_iterations);
+  EXPECT_NE(got.gbd_prior.gmm.tolerance, defaults.gbd_prior.gmm.tolerance);
+  EXPECT_NE(got.gbd_prior.gmm.stddev_floor,
+            defaults.gbd_prior.gmm.stddev_floor);
 
   // Every branch multiset reads back identically through the flat view.
   for (size_t g = 0; g < index_->num_graphs(); ++g) {
@@ -168,27 +214,11 @@ TEST_F(StorageTest, ArenaHeaderInspection) {
   EXPECT_NE(info->FindSection(kSecFpKeys), nullptr);
 }
 
-TEST_F(StorageTest, MaterializeReproducesTheIndex) {
-  Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
-  ASSERT_TRUE(view.ok());
-  Result<GbdaIndex> materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  ASSERT_EQ(materialized->num_graphs(), index_->num_graphs());
-  for (size_t g = 0; g < index_->num_graphs(); ++g) {
-    EXPECT_EQ(materialized->branches(g), index_->branches(g)) << "graph " << g;
-  }
-  // The materialized index is v2-persistable and reloads.
-  const std::string v2_path = ::testing::TempDir() + "/storage_test.v2";
-  ASSERT_TRUE(materialized->SaveToFile(v2_path).ok());
-  Result<GbdaIndex> reloaded = GbdaIndex::LoadFromFile(v2_path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->num_graphs(), index_->num_graphs());
-}
-
 TEST_F(StorageTest, ArenaFromViewIsStable) {
-  // Writing an arena FROM a mapped view reproduces the branch sections
-  // byte-for-byte (the prior blobs may reorder cached rows, so compare the
-  // four flat sections through their CRCs).
+  // Writing an arena FROM a mapped view reproduces the section table and
+  // every branch and candidate-column section byte-for-byte (ids 1..4 and
+  // 8..12, compared through their CRCs). The prior blobs (5, 6) are exempt:
+  // the GED prior may reorder its cached rows.
   Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(view.ok());
   const std::string second_path = ::testing::TempDir() + "/storage_rewrite.v3";
@@ -199,10 +229,16 @@ TEST_F(StorageTest, ArenaFromViewIsStable) {
   Result<ArenaInfo> info_b = ParseArenaHeader(b, "b");
   ASSERT_TRUE(info_a.ok());
   ASSERT_TRUE(info_b.ok());
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(info_a->sections[s].crc32, info_b->sections[s].crc32)
-        << ArenaSectionName(info_a->sections[s].id);
-    EXPECT_EQ(info_a->sections[s].length, info_b->sections[s].length);
+  ASSERT_EQ(info_a->sections.size(), info_b->sections.size());
+  ASSERT_NE(info_a->FindSection(kSecFpUnique), nullptr)
+      << "fixture corpus must certify fingerprint exactness";
+  for (size_t s = 0; s < info_a->sections.size(); ++s) {
+    const ArenaSectionInfo& sec_a = info_a->sections[s];
+    const ArenaSectionInfo& sec_b = info_b->sections[s];
+    ASSERT_EQ(sec_a.id, sec_b.id);
+    if (sec_a.id == kSecGbdPrior || sec_a.id == kSecGedPrior) continue;
+    EXPECT_EQ(sec_a.crc32, sec_b.crc32) << ArenaSectionName(sec_a.id);
+    EXPECT_EQ(sec_a.length, sec_b.length) << ArenaSectionName(sec_a.id);
   }
 }
 
@@ -284,7 +320,7 @@ TEST_F(StorageTest, HeaderTamperingIsCaughtWithoutChecksumOption) {
         << opened.status().message();
   }
   // Truncation: every prefix must fail (the header states file_bytes).
-  for (size_t len : {size_t{0}, size_t{16}, kArenaHeaderBytes,
+  for (size_t len : {size_t{0}, size_t{16}, ArenaHeaderBytes(kArenaSectionCount),
                      data.size() / 2, data.size() - 1}) {
     WriteFile(path, data.substr(0, len));
     EXPECT_FALSE(GbdaIndexView::Open(path).ok()) << "prefix " << len;
@@ -294,6 +330,37 @@ TEST_F(StorageTest, HeaderTamperingIsCaughtWithoutChecksumOption) {
     WriteFile(path, data + "junk");
     EXPECT_FALSE(GbdaIndexView::Open(path).ok());
   }
+}
+
+TEST_F(StorageTest, ImplausibleTauMaxInHeaderIsRejected) {
+  // A resealed header claiming tau_max beyond the plausibility bound is
+  // refused by the same check GbdaIndex::Build runs on its options.
+  const std::string path = ::testing::TempDir() + "/storage_tau.v3";
+  for (int64_t hostile : {int64_t{1500}, int64_t{-1}, int64_t{1} << 40}) {
+    WriteFile(path, PatchMetaScalar(ReadFile(*arena_path_), 0, hostile));
+    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+    ASSERT_FALSE(opened.ok()) << "tau_max " << hostile;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("implausible tau_max"),
+              std::string::npos)
+        << opened.status().message();
+  }
+}
+
+TEST_F(StorageTest, GedPriorHeaderDisagreeingWithArenaHeaderIsRejected) {
+  // Both headers pass their own plausibility checks, but the arena admits a
+  // tau_max the embedded Lambda3 table was not built for: served, it would
+  // score silently wrong, so the open refuses it.
+  const std::string path = ::testing::TempDir() + "/storage_gedhdr.v3";
+  ASSERT_GT(index_->tau_max(), 1);
+  WriteFile(path, PatchMetaScalar(ReadFile(*arena_path_), 0,
+                                  index_->tau_max() - 1));
+  Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("GED prior header disagrees"),
+            std::string::npos)
+      << opened.status().message();
 }
 
 TEST_F(StorageTest, NonMonotonicOffsetTablesAreRejectedAtOpen) {

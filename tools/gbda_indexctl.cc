@@ -1,19 +1,16 @@
-// gbda_indexctl — operator tooling for GBDA index artifacts
-// (docs/ARCHITECTURE.md, "Storage engine"; quickstart in README.md).
+// gbda_indexctl — operator tooling for GBDA index artifacts, all in the v3
+// arena format (docs/ARCHITECTURE.md, "Storage engine"; quickstart in
+// README.md).
 //
 //   gbda_indexctl build   --db=<transactions.txt> --out=<artifact>
-//                         [--format=v3|v2] [--tau-max=N] [--sample-pairs=N]
-//                         [--seed=N] [--eager-all-sizes]
+//                         [--tau-max=N] [--sample-pairs=N] [--seed=N]
+//                         [--eager-all-sizes] [--ann] [--ann-degree=N]
+//                         [--ann-window=N] [--ann-alpha=F] [--ann-seed=N]
 //       Runs the offline stage over a transaction-format database file and
-//       writes the artifact (v3 arena by default).
+//       writes the artifact; --ann (or any --ann-* knob) adds the proximity
+//       graph section.
 //
-//   gbda_indexctl convert --in=<artifact> --out=<artifact> --to=v2|v3
-//       Converts between the v2 decode-on-load stream and the v3 mmap
-//       arena, either direction. The input version is detected from its
-//       magic. Queries through the converted artifact are bit-identical to
-//       queries through the source.
-//
-//   gbda_indexctl graph   --in=<v3 artifact> --out=<v3 artifact>
+//   gbda_indexctl graph   --in=<artifact> --out=<artifact>
 //                         [--ann-degree=N] [--ann-window=N]
 //                         [--ann-alpha=F] [--ann-seed=N]
 //       Builds the proximity graph for approximate candidate navigation
@@ -23,27 +20,29 @@
 //       through the output are bit-identical to the input.
 //
 //   gbda_indexctl inspect <artifact>
-//       Prints a JSON summary (version, header fields, v3 section table,
-//       ann_graph details when present).
+//       Prints a JSON summary (header fields, section table, candidate
+//       columns, ann_graph details when present).
 //
 //   gbda_indexctl verify <artifact>
-//       Full integrity check: structural validation plus every CRC32
-//       (the v3 per-section sums — including trailing optional sections
-//       such as ann_graph — or the v2 footer). Exits non-zero on the
-//       first failure, printing the offending section and byte offset.
+//       Full integrity check: structural validation plus every per-section
+//       CRC32, trailing optional sections such as ann_graph included. Exits
+//       non-zero on the first failure, printing the offending section and
+//       byte offset.
 //
-// build, convert and graph write crash-safely: the artifact goes to
-// <out>.tmp, is fsynced, then renamed over <out>. A crash leaves either the
-// old <out> or the complete new one, and --out may name the --in file.
+// Numeric flags must be whole, in-range numbers; anything else prints the
+// usage and exits 2. build and graph write crash-safely: the artifact goes
+// to <out>.tmp, is fsynced, then renamed over <out>. A crash leaves either
+// the old <out> or the complete new one, and --out may name the --in file.
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <string>
+#include <system_error>
 
 #include "ann/proximity_graph.h"
 #include "core/gbda_index.h"
@@ -58,14 +57,12 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  gbda_indexctl build   --db=<transactions.txt> --out=<path>"
-               " [--format=v3|v2]\n"
+               "  gbda_indexctl build   --db=<transactions.txt> --out=<path>\n"
                "                        [--tau-max=N] [--sample-pairs=N]"
                " [--seed=N] [--eager-all-sizes]\n"
                "                        [--ann] [--ann-degree=N]"
                " [--ann-window=N] [--ann-alpha=F] [--ann-seed=N]\n"
-               "  gbda_indexctl convert --in=<path> --out=<path> --to=v2|v3\n"
-               "  gbda_indexctl graph   --in=<v3 path> --out=<v3 path>"
+               "  gbda_indexctl graph   --in=<path> --out=<path>"
                " [--ann-degree=N] [--ann-window=N]\n"
                "                        [--ann-alpha=F] [--ann-seed=N]\n"
                "  gbda_indexctl inspect <path>\n"
@@ -80,19 +77,18 @@ bool FlagValue(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+/// Strict numeric parsing: the whole string must be one in-range number of
+/// type T (no sign for unsigned types, no trailing characters).
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, *out);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "gbda_indexctl: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// First 4 bytes decide the artifact family ("GBDA" stream vs "GBA3" arena).
-Result<uint32_t> ReadMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) return Status::InvalidArgument("file too small: " + path);
-  return magic;
 }
 
 Status ErrnoStatus(const std::string& what, const std::string& path) {
@@ -130,44 +126,27 @@ Status WriteAtomically(const std::string& path,
                   O_RDONLY | O_DIRECTORY);
 }
 
-/// Writes the artifact crash-safely (WriteAtomically); `graph` (v3 only)
-/// becomes its ann_graph section.
-Status WriteArtifact(const IndexReader& index, const std::string& format,
-                     const std::string& path,
+/// Writes the arena crash-safely (WriteAtomically); `graph` becomes its
+/// ann_graph section.
+Status WriteArtifact(const IndexReader& index, const std::string& path,
                      const ProximityGraph* graph = nullptr) {
-  if (format != "v3" && format != "v2") {
-    return Status::InvalidArgument("unknown artifact format: " + format +
-                                   " (expected v2 or v3)");
-  }
-  return WriteAtomically(path, [&](const std::string& tmp) -> Status {
-    if (format == "v3") return WriteArenaFile(index, tmp, graph);
-    // The v2 writer lives on the owning index; materialize when needed.
-    if (const auto* owned = dynamic_cast<const GbdaIndex*>(&index)) {
-      return owned->SaveToFile(tmp);
-    }
-    const auto* view = dynamic_cast<const GbdaIndexView*>(&index);
-    if (view == nullptr) {
-      return Status::Internal("unknown index backing for v2 write");
-    }
-    Result<GbdaIndex> materialized = view->Materialize();
-    if (!materialized.ok()) return materialized.status();
-    return materialized->SaveToFile(tmp);
+  return WriteAtomically(path, [&](const std::string& tmp) {
+    return WriteArenaFile(index, tmp, graph);
   });
 }
 
-/// Parses the shared --ann-* knobs; returns false on an unrecognized flag.
-bool AnnFlagValue(const char* arg, AnnBuildParams* params) {
+/// Parses the shared --ann-* knobs. Returns false when `arg` is not one of
+/// them; sets *bad when it is one but its value does not parse.
+bool AnnFlagValue(const char* arg, AnnBuildParams* params, bool* bad) {
   std::string v;
   if (FlagValue(arg, "--ann-degree", &v)) {
-    params->graph_degree =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+    *bad = !ParseNumber(v, &params->graph_degree);
   } else if (FlagValue(arg, "--ann-window", &v)) {
-    params->build_window =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+    *bad = !ParseNumber(v, &params->build_window);
   } else if (FlagValue(arg, "--ann-alpha", &v)) {
-    params->alpha = std::strtod(v.c_str(), nullptr);
+    *bad = !ParseNumber(v, &params->alpha);
   } else if (FlagValue(arg, "--ann-seed", &v)) {
-    params->seed = std::strtoull(v.c_str(), nullptr, 10);
+    *bad = !ParseNumber(v, &params->seed);
   } else {
     return false;
   }
@@ -175,64 +154,58 @@ bool AnnFlagValue(const char* arg, AnnBuildParams* params) {
 }
 
 int RunBuild(int argc, char** argv) {
-  std::string db_path, out_path, format = "v3", v;
+  std::string db_path, out_path, v;
   GbdaIndexOptions options;
   bool with_ann = false;
   AnnBuildParams ann_params;
   for (int i = 2; i < argc; ++i) {
+    bool bad = false;
     if (FlagValue(argv[i], "--db", &v)) {
       db_path = v;
     } else if (FlagValue(argv[i], "--out", &v)) {
       out_path = v;
-    } else if (FlagValue(argv[i], "--format", &v)) {
-      format = v;
     } else if (FlagValue(argv[i], "--tau-max", &v)) {
-      options.tau_max = std::strtoll(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &options.tau_max);
     } else if (FlagValue(argv[i], "--sample-pairs", &v)) {
-      options.gbd_prior.num_sample_pairs =
-          std::strtoull(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &options.gbd_prior.num_sample_pairs);
     } else if (FlagValue(argv[i], "--seed", &v)) {
-      options.seed = std::strtoull(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &options.seed);
     } else if (std::strcmp(argv[i], "--eager-all-sizes") == 0) {
       options.eager_all_sizes = true;
     } else if (std::strcmp(argv[i], "--ann") == 0) {
       with_ann = true;
-    } else if (AnnFlagValue(argv[i], &ann_params)) {
+    } else if (AnnFlagValue(argv[i], &ann_params, &bad)) {
       with_ann = true;  // an --ann-* knob implies --ann
     } else {
       return Usage();
     }
+    if (bad) return Usage();
   }
   if (db_path.empty() || out_path.empty()) return Usage();
-  if (with_ann && format != "v3") {
-    return Fail(Status::InvalidArgument(
-        "--ann requires --format=v3 (the v2 stream has no ann_graph "
-        "section)"));
-  }
 
   Result<GraphDatabase> db = ReadTransactionFile(db_path);
   if (!db.ok()) return Fail(db.status());
   Result<GbdaIndex> index = GbdaIndex::Build(*db, options);
   if (!index.ok()) return Fail(index.status());
-  if (with_ann) {
-    Result<ProximityGraph> graph =
-        BuildProximityGraph(FingerprintStore::FromIndex(*index), ann_params);
-    if (!graph.ok()) return Fail(graph.status());
-    Status written = WriteArtifact(*index, "v3", out_path, &*graph);
+  if (!with_ann) {
+    Status written = WriteArtifact(*index, out_path);
     if (!written.ok()) return Fail(written);
-    std::printf(
-        "built v3 artifact %s: %zu graphs, tau_max=%lld, ann_graph "
-        "(degree<=%u, %llu edges)\n",
-        out_path.c_str(), index->num_graphs(),
-        static_cast<long long>(index->tau_max()), graph->degree_bound,
-        static_cast<unsigned long long>(graph->neighbors.size()));
+    std::printf("built v3 artifact %s: %zu graphs, tau_max=%lld\n",
+                out_path.c_str(), index->num_graphs(),
+                static_cast<long long>(index->tau_max()));
     return 0;
   }
-  Status written = WriteArtifact(*index, format, out_path);
+  Result<ProximityGraph> graph =
+      BuildProximityGraph(FingerprintStore::FromIndex(*index), ann_params);
+  if (!graph.ok()) return Fail(graph.status());
+  Status written = WriteArtifact(*index, out_path, &*graph);
   if (!written.ok()) return Fail(written);
-  std::printf("built %s artifact %s: %zu graphs, tau_max=%lld\n",
-              format.c_str(), out_path.c_str(), index->num_graphs(),
-              static_cast<long long>(index->tau_max()));
+  std::printf(
+      "built v3 artifact %s: %zu graphs, tau_max=%lld, ann_graph "
+      "(degree<=%u, %llu edges)\n",
+      out_path.c_str(), index->num_graphs(),
+      static_cast<long long>(index->tau_max()), graph->degree_bound,
+      static_cast<unsigned long long>(graph->neighbors.size()));
   return 0;
 }
 
@@ -240,30 +213,24 @@ int RunGraph(int argc, char** argv) {
   std::string in_path, out_path, v;
   AnnBuildParams ann_params;
   for (int i = 2; i < argc; ++i) {
+    bool bad = false;
     if (FlagValue(argv[i], "--in", &v)) {
       in_path = v;
     } else if (FlagValue(argv[i], "--out", &v)) {
       out_path = v;
-    } else if (AnnFlagValue(argv[i], &ann_params)) {
-    } else {
+    } else if (!AnnFlagValue(argv[i], &ann_params, &bad)) {
       return Usage();
     }
+    if (bad) return Usage();
   }
   if (in_path.empty() || out_path.empty()) return Usage();
 
-  Result<uint32_t> magic = ReadMagic(in_path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic != kArenaMagic) {
-    return Fail(Status::InvalidArgument(
-        "graph: input must be a v3 arena artifact (convert first): " +
-        in_path));
-  }
   Result<GbdaIndexView> view = GbdaIndexView::Open(in_path);
   if (!view.ok()) return Fail(view.status());
   Result<ProximityGraph> graph =
       BuildProximityGraph(FingerprintStore::FromIndex(*view), ann_params);
   if (!graph.ok()) return Fail(graph.status());
-  Status written = WriteArtifact(*view, "v3", out_path, &*graph);
+  Status written = WriteArtifact(*view, out_path, &*graph);
   if (!written.ok()) return Fail(written);
   std::printf(
       "wrote %s: %zu graphs with ann_graph (degree<=%u, %llu edges, "
@@ -274,46 +241,16 @@ int RunGraph(int argc, char** argv) {
   return 0;
 }
 
-int RunConvert(int argc, char** argv) {
-  std::string in_path, out_path, to, v;
-  for (int i = 2; i < argc; ++i) {
-    if (FlagValue(argv[i], "--in", &v)) {
-      in_path = v;
-    } else if (FlagValue(argv[i], "--out", &v)) {
-      out_path = v;
-    } else if (FlagValue(argv[i], "--to", &v)) {
-      to = v;
-    } else {
-      return Usage();
-    }
-  }
-  if (in_path.empty() || out_path.empty() || to.empty()) return Usage();
-
-  Result<uint32_t> magic = ReadMagic(in_path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic == kIndexV2Magic) {
-    Result<GbdaIndex> index = GbdaIndex::LoadFromFile(in_path);
-    if (!index.ok()) return Fail(index.status());
-    Status written = WriteArtifact(*index, to, out_path);
-    if (!written.ok()) return Fail(written);
-  } else if (*magic == kArenaMagic) {
-    Result<GbdaIndexView> view = GbdaIndexView::Open(in_path);
-    if (!view.ok()) return Fail(view.status());
-    Status written = WriteArtifact(*view, to, out_path);
-    if (!written.ok()) return Fail(written);
-  } else {
-    return Fail(Status::InvalidArgument("not a GBDA artifact: " + in_path));
-  }
-  std::printf("converted %s -> %s (%s)\n", in_path.c_str(), out_path.c_str(),
-              to.c_str());
-  return 0;
-}
-
-void PrintHeaderJson(const char* format, uint64_t file_bytes,
-                     const GbdaIndexOptions& options, int64_t lv, int64_t le,
-                     double avg_vertices, uint64_t num_graphs) {
+int RunInspect(const std::string& path) {
+  Result<MappedFile> mapped = MappedFile::OpenReadOnly(path, false);
+  if (!mapped.ok()) return Fail(mapped.status());
+  Result<ArenaInfo> info = ParseArenaHeader(
+      std::string_view(mapped->data(), mapped->size()), path);
+  if (!info.ok()) return Fail(info.status());
+  const GbdaIndexOptions& options = info->options;
   std::printf(
-      "  \"format\": \"%s\",\n"
+      "{\n"
+      "  \"format\": \"v3\",\n"
       "  \"file_bytes\": %llu,\n"
       "  \"num_graphs\": %llu,\n"
       "  \"tau_max\": %lld,\n"
@@ -321,44 +258,17 @@ void PrintHeaderJson(const char* format, uint64_t file_bytes,
       "  \"num_edge_labels\": %lld,\n"
       "  \"avg_vertices\": %.6f,\n"
       "  \"sample_pairs\": %llu,\n"
-      "  \"seed\": %llu",
-      format, static_cast<unsigned long long>(file_bytes),
-      static_cast<unsigned long long>(num_graphs),
-      static_cast<long long>(options.tau_max), static_cast<long long>(lv),
-      static_cast<long long>(le), avg_vertices,
-      static_cast<unsigned long long>(options.gbd_prior.num_sample_pairs),
-      static_cast<unsigned long long>(options.seed));
-}
-
-int RunInspect(const std::string& path) {
-  Result<uint32_t> magic = ReadMagic(path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic == kIndexV2Magic) {
-    Result<GbdaIndex> index = GbdaIndex::LoadFromFile(path);
-    if (!index.ok()) return Fail(index.status());
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    std::printf("{\n");
-    PrintHeaderJson("v2", static_cast<uint64_t>(in.tellg()), index->options(),
-                    index->num_vertex_labels(), index->num_edge_labels(),
-                    index->avg_vertices(), index->num_graphs());
-    std::printf("\n}\n");
-    return 0;
-  }
-  if (*magic != kArenaMagic) {
-    return Fail(Status::InvalidArgument("not a GBDA artifact: " + path));
-  }
-  Result<MappedFile> mapped = MappedFile::OpenReadOnly(path, false);
-  if (!mapped.ok()) return Fail(mapped.status());
-  Result<ArenaInfo> info = ParseArenaHeader(
-      std::string_view(mapped->data(), mapped->size()), path);
-  if (!info.ok()) return Fail(info.status());
-  std::printf("{\n");
-  PrintHeaderJson("v3", info->file_bytes, info->options,
-                  info->num_vertex_labels, info->num_edge_labels,
-                  info->avg_vertices, info->num_graphs);
-  std::printf(
-      ",\n  \"total_branches\": %llu,\n  \"total_labels\": %llu,\n"
+      "  \"seed\": %llu,\n"
+      "  \"total_branches\": %llu,\n"
+      "  \"total_labels\": %llu,\n"
       "  \"sections\": [\n",
+      static_cast<unsigned long long>(info->file_bytes),
+      static_cast<unsigned long long>(info->num_graphs),
+      static_cast<long long>(options.tau_max),
+      static_cast<long long>(info->num_vertex_labels),
+      static_cast<long long>(info->num_edge_labels), info->avg_vertices,
+      static_cast<unsigned long long>(options.gbd_prior.num_sample_pairs),
+      static_cast<unsigned long long>(options.seed),
       static_cast<unsigned long long>(info->total_branches),
       static_cast<unsigned long long>(info->total_labels));
   for (size_t s = 0; s < info->sections.size(); ++s) {
@@ -374,15 +284,12 @@ int RunInspect(const std::string& path) {
         sec.crc32, s + 1 < info->sections.size() ? "," : "");
   }
   std::printf("  ]");
-  if (info->FindSection(kSecGraphSizes) != nullptr) {
-    const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
-    std::printf(
-        ",\n  \"columns\": {\"graph_sizes\": true, \"fp_keys\": true, "
-        "\"exactness_directory\": %s, \"num_distinct_fingerprints\": %llu}",
-        uniq != nullptr ? "true" : "false",
-        static_cast<unsigned long long>(uniq != nullptr ? uniq->length / 8
-                                                        : 0));
-  }
+  const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
+  std::printf(
+      ",\n  \"columns\": {\"graph_sizes\": true, \"fp_keys\": true, "
+      "\"exactness_directory\": %s, \"num_distinct_fingerprints\": %llu}",
+      uniq != nullptr ? "true" : "false",
+      static_cast<unsigned long long>(uniq != nullptr ? uniq->length / 8 : 0));
   if (const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph)) {
     Result<ProximityGraphRef> graph = ParseProximityGraphSection(
         mapped->data() + sec->offset, static_cast<size_t>(sec->length),
@@ -404,20 +311,6 @@ int RunInspect(const std::string& path) {
 }
 
 int RunVerify(const std::string& path) {
-  Result<uint32_t> magic = ReadMagic(path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic == kIndexV2Magic) {
-    // The v2 loader is the verifier: full structural decode plus the CRC
-    // footer when present.
-    Result<GbdaIndex> index = GbdaIndex::LoadFromFile(path);
-    if (!index.ok()) return Fail(index.status());
-    std::printf("%s: OK (v2 stream, %zu graphs)\n", path.c_str(),
-                index->num_graphs());
-    return 0;
-  }
-  if (*magic != kArenaMagic) {
-    return Fail(Status::InvalidArgument("not a GBDA artifact: " + path));
-  }
   GbdaIndexView::OpenOptions options;
   options.verify_checksums = true;
   options.prefetch = true;
@@ -435,7 +328,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "build") return RunBuild(argc, argv);
-  if (command == "convert") return RunConvert(argc, argv);
   if (command == "graph") return RunGraph(argc, argv);
   if (command == "inspect" && argc == 3) return RunInspect(argv[2]);
   if (command == "verify" && argc == 3) return RunVerify(argv[2]);
