@@ -4,9 +4,11 @@
 /// proximity graph, owned or mmap-borrowed), and AnnSearchTopK runs
 /// navigate-then-verify for one prepared query — beam search picks
 /// candidates, core's ScanCandidateList scores them with the exact
-/// posterior arithmetic and the PR-5 admissible bounds. The serving layers
-/// (GbdaService, DynamicGbdaService) hold one AnnContext per corpus /
-/// snapshot; see docs/ARCHITECTURE.md, "Approximate candidate navigation".
+/// posterior arithmetic and the admissible top-k bounds. GbdaService holds
+/// one AnnContext per published snapshot, built from the snapshot index's
+/// fingerprint column (a frozen corpus has one snapshot, a dynamic corpus
+/// one per generation); see docs/ARCHITECTURE.md, "Approximate candidate
+/// navigation".
 
 #pragma once
 
@@ -28,7 +30,7 @@ class AnnContext {
  public:
   /// Builds the proximity graph offline over `store` (BuildProximityGraph)
   /// and owns it. The expensive path — O(corpus * build cost) — run once
-  /// per corpus/snapshot and cached by the services.
+  /// per snapshot and cached by the service.
   static Result<AnnContext> Build(FingerprintStore store,
                                   const AnnBuildParams& params);
 

@@ -27,23 +27,6 @@ ProximityGraphRef ProximityGraph::ref() const {
   return r;
 }
 
-FingerprintStore FingerprintStore::FromPrefilter(const Prefilter& prefilter) {
-  FingerprintStore store;
-  const size_t n = prefilter.size();
-  store.offsets_.assign(n + 1, 0);
-  size_t total = 0;
-  for (size_t id = 0; id < n; ++id) {
-    total += prefilter.profile(id).branch_keys.size();
-  }
-  store.pool_.reserve(total);
-  for (size_t id = 0; id < n; ++id) {
-    const std::vector<uint64_t>& keys = prefilter.profile(id).branch_keys;
-    store.pool_.insert(store.pool_.end(), keys.begin(), keys.end());
-    store.offsets_[id + 1] = store.pool_.size();
-  }
-  return store;
-}
-
 FingerprintStore FingerprintStore::FromIndex(const IndexReader& index) {
   // The fingerprint column already holds every graph's sorted branch
   // fingerprints in exactly this store's layout: copy the blob wholesale.

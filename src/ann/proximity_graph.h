@@ -25,7 +25,6 @@
 #include "common/result.h"
 #include "common/span.h"
 #include "core/index_reader.h"
-#include "core/prefilter.h"
 
 namespace gbda {
 
@@ -82,14 +81,11 @@ class FingerprintStore {
  public:
   FingerprintStore() = default;
 
-  /// Copies every profile's branch_keys out of a built Prefilter — the
-  /// cheap path when profiles already exist (both services hold them).
-  static FingerprintStore FromPrefilter(const Prefilter& prefilter);
-
   /// Copies the per-graph sorted fingerprint column (index.columns())
-  /// wholesale — the path for mapped artifacts, where no Graph objects or
-  /// profiles exist. Produces exactly the keys FromPrefilter would: both
-  /// hash the same (root, edge-label multiset) content.
+  /// wholesale. Graph g's keys equal BuildFilterProfile(g).branch_keys —
+  /// both hash the same (root, edge-label multiset) content — which is the
+  /// agreement navigation relies on: the query side compares its profile
+  /// keys against these.
   static FingerprintStore FromIndex(const IndexReader& index);
 
   size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }

@@ -79,9 +79,9 @@ struct SearchOptions {
   /// gated by bench/bench_recall.cc), but a returned (phi, gbd) is never
   /// fabricated. Ignored by threshold queries, which are defined over the
   /// whole corpus, and by the serial GbdaSearch, which stays the exhaustive
-  /// ground-truth reference — the serving layers (GbdaService,
-  /// DynamicGbdaService) honor it. See docs/ARCHITECTURE.md, "Approximate
-  /// candidate navigation".
+  /// ground-truth reference — the serving core (GbdaService, over frozen
+  /// and dynamic corpora) honors it. See docs/ARCHITECTURE.md,
+  /// "Approximate candidate navigation".
   bool approximate = false;
   /// Beam width of the approximate navigation (the priority-queue window of
   /// the greedy search). Larger windows visit more candidates: recall and

@@ -69,21 +69,18 @@ void AppendCounterFamily(const std::string& name, const std::string& help,
 
 Result<std::unique_ptr<GbdaServer>> GbdaServer::Serve(
     GbdaService* service, const ServerConfig& config) {
-  Backend backend;
-  backend.frozen = service;
-  return StartInternal(backend, config);
+  return StartInternal(service, nullptr, config);
 }
 
 Result<std::unique_ptr<GbdaServer>> GbdaServer::Serve(
     DynamicGbdaService* service, const ServerConfig& config) {
-  Backend backend;
-  backend.dynamic = service;
-  return StartInternal(backend, config);
+  return StartInternal(service, service, config);
 }
 
 Result<std::unique_ptr<GbdaServer>> GbdaServer::StartInternal(
-    Backend backend, const ServerConfig& config) {
-  if (backend.frozen == nullptr && backend.dynamic == nullptr) {
+    GbdaService* service, DynamicGbdaService* mutations,
+    const ServerConfig& config) {
+  if (service == nullptr) {
     return Status::InvalidArgument("server: no backend");
   }
   if (config.max_batch == 0) {
@@ -92,7 +89,8 @@ Result<std::unique_ptr<GbdaServer>> GbdaServer::StartInternal(
   if (config.max_queue == 0) {
     return Status::InvalidArgument("server: max_queue must be >= 1");
   }
-  std::unique_ptr<GbdaServer> server(new GbdaServer(backend, config));
+  std::unique_ptr<GbdaServer> server(
+      new GbdaServer(service, mutations, config));
   GBDA_RETURN_IF_ERROR(server->Listen());
   server->io_thread_ = std::thread([s = server.get()] { s->IoLoop(); });
   const size_t workers = std::max<size_t>(1, config.num_workers);
@@ -103,8 +101,10 @@ Result<std::unique_ptr<GbdaServer>> GbdaServer::StartInternal(
   return server;
 }
 
-GbdaServer::GbdaServer(Backend backend, const ServerConfig& config)
-    : backend_(backend),
+GbdaServer::GbdaServer(GbdaService* service, DynamicGbdaService* mutations,
+                       const ServerConfig& config)
+    : service_(service),
+      mutations_(mutations),
       config_(config),
       batch_size_histogram_(std::max<size_t>(1, config.max_batch)) {}
 
@@ -747,10 +747,7 @@ void GbdaServer::ExecuteTopKBatch(std::vector<Pending> batch,
 
   SnapshotInfo served;
   Result<std::vector<SearchResult>> results =
-      backend_.dynamic
-          ? backend_.dynamic->QueryTopKBatch(Span<Graph>(queries),
-                                             k, options, &served)
-          : backend_.frozen->QueryTopKBatch(Span<Graph>(queries), k, options);
+      service_->QueryTopKBatch(Span<Graph>(queries), k, options, &served);
 
   batches_executed_.Increment();
   const size_t slot = std::min(live.size(), batch_size_histogram_.size()) - 1;
@@ -818,8 +815,7 @@ void GbdaServer::ExecuteMutation(Pending request) {
     return;
   }
 
-  DynamicGbdaService* service = backend_.dynamic;
-  if (service == nullptr) {
+  if (mutations_ == nullptr) {
     resp.status = WireStatus::kUnsupported;
     resp.message = "mutation requests require a dynamic-corpus backend";
     PostResponse(request.conn_id, EncodeMutateResponse(resp));
@@ -830,7 +826,7 @@ void GbdaServer::ExecuteMutation(Pending request) {
   switch (req.op) {
     case MutationOp::kAddGraphs: {
       Result<std::vector<size_t>> ids =
-          service->AddGraphs(std::move(req.graphs), &published);
+          mutations_->AddGraphs(std::move(req.graphs), &published);
       if (!ids.ok()) {
         resp.status = WireStatus::kInvalidRequest;
         resp.message = ids.status().ToString();
@@ -842,7 +838,7 @@ void GbdaServer::ExecuteMutation(Pending request) {
     }
     case MutationOp::kRemoveGraphs: {
       std::vector<size_t> ids(req.ids.begin(), req.ids.end());
-      Status removed = service->RemoveGraphs(ids, &published);
+      Status removed = mutations_->RemoveGraphs(ids, &published);
       if (!removed.ok()) {
         resp.status = WireStatus::kInvalidRequest;
         resp.message = removed.ToString();
@@ -852,15 +848,15 @@ void GbdaServer::ExecuteMutation(Pending request) {
       break;
     }
     case MutationOp::kInternVertexLabel:
-      resp.label_id = service->InternVertexLabel(req.label);
-      resp.generation = service->snapshot_info().generation;
+      resp.label_id = mutations_->InternVertexLabel(req.label);
+      resp.generation = mutations_->snapshot_info().generation;
       break;
     case MutationOp::kInternEdgeLabel:
-      resp.label_id = service->InternEdgeLabel(req.label);
-      resp.generation = service->snapshot_info().generation;
+      resp.label_id = mutations_->InternEdgeLabel(req.label);
+      resp.generation = mutations_->snapshot_info().generation;
       break;
     case MutationOp::kFlush: {
-      Status flushed = service->Flush(&published);
+      Status flushed = mutations_->Flush(&published);
       // Flush publishes even when the forced refit fails; report the
       // generation either way so the client can pin it.
       resp.generation = published.generation;

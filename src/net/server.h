@@ -1,11 +1,13 @@
 /// \file server.h
 /// The network serving front-end (docs/ARCHITECTURE.md, "Network serving"):
 /// a TCP server speaking the length-prefixed binary protocol of
-/// net/codec.h in front of either serving backend — a frozen GbdaService
-/// (optionally over a mapped v3 arena) or a DynamicGbdaService (mutation
-/// requests commit and swap snapshots). tools/gbda_serverd is a thin main
-/// around this class; tests drive it in-process on loopback ephemeral
-/// ports.
+/// net/codec.h in front of one GbdaService. Every query runs through that
+/// service's snapshot query path and reports the generation it was served
+/// against (0 for a frozen corpus, optionally over a mapped v3 arena); when
+/// the service is a DynamicGbdaService, mutation requests commit through
+/// its serialized mutation API and publish new snapshots.
+/// tools/gbda_serverd is a thin main around this class; tests drive it
+/// in-process on loopback ephemeral ports.
 ///
 /// Threading model:
 ///   - One I/O thread owns every socket: a poll() loop over the listener, a
@@ -91,8 +93,9 @@ struct ServerConfig {
 /// from any thread.
 class GbdaServer {
  public:
-  /// Serves a frozen corpus. Mutation requests answer kUnsupported;
-  /// responses report generation 0. `service` must outlive the server.
+  /// Serves queries only (typically a frozen corpus, whose responses report
+  /// generation 0). Mutation requests answer kUnsupported. `service` must
+  /// outlive the server.
   static Result<std::unique_ptr<GbdaServer>> Serve(GbdaService* service,
                                                    const ServerConfig& config);
   /// Serves a dynamic corpus: mutation requests commit through the
@@ -135,11 +138,6 @@ class GbdaServer {
   void ResumeDraining();
 
  private:
-  struct Backend {
-    GbdaService* frozen = nullptr;
-    DynamicGbdaService* dynamic = nullptr;
-  };
-
   /// One admitted request waiting for a worker.
   struct Pending {
     uint64_t conn_id = 0;
@@ -162,9 +160,11 @@ class GbdaServer {
     size_t outbox_sent = 0;
   };
 
-  GbdaServer(Backend backend, const ServerConfig& config);
+  GbdaServer(GbdaService* service, DynamicGbdaService* mutations,
+             const ServerConfig& config);
   static Result<std::unique_ptr<GbdaServer>> StartInternal(
-      Backend backend, const ServerConfig& config);
+      GbdaService* service, DynamicGbdaService* mutations,
+      const ServerConfig& config);
   Status Listen();
 
   void IoLoop();
@@ -199,7 +199,10 @@ class GbdaServer {
   /// Hands a finished response frame from a worker to the I/O thread.
   void PostResponse(uint64_t conn_id, std::string frame_bytes);
 
-  Backend backend_;
+  /// Every query runs through service_; mutations_ is the same object when
+  /// the dynamic Serve overload started the server, null otherwise.
+  GbdaService* const service_;
+  DynamicGbdaService* const mutations_;
   const ServerConfig config_;
   uint16_t port_ = 0;
 

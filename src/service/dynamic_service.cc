@@ -1,11 +1,9 @@
 #include "service/dynamic_service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/timer.h"
-#include "service/parallel_scan.h"
 
 namespace gbda {
 
@@ -27,11 +25,11 @@ Result<std::unique_ptr<DynamicGbdaService>> DynamicGbdaService::Create(
 DynamicGbdaService::DynamicGbdaService(GraphDatabase db, GbdaIndex master,
                                        const GbdaIndexOptions& index_options,
                                        const DynamicServiceOptions& options)
-    : index_options_(index_options),
-      options_(options),
+    : GbdaService(options.service),
+      index_options_(index_options),
+      gbd_refit_fraction_(options.gbd_refit_fraction),
       db_(std::move(db)),
-      master_(std::move(master)),
-      pool_(options.service.num_threads) {
+      master_(std::move(master)) {
   profiles_.reserve(db_.size());
   for (size_t id = 0; id < db_.size(); ++id) {
     profiles_.push_back(
@@ -85,8 +83,8 @@ void DynamicGbdaService::Republish(bool force_refit) {
   bool refit_failed = false;
   bool refit_done = false;
   if (master_.gbd_staleness() > 0 &&
-      (force_refit || options_.gbd_refit_fraction <= 0.0 ||
-       master_.GbdStalenessFraction() > options_.gbd_refit_fraction)) {
+      (force_refit || gbd_refit_fraction_ <= 0.0 ||
+       master_.GbdStalenessFraction() > gbd_refit_fraction_)) {
     if (master_.num_live() >= 2) {
       Status refit = master_.RefitGbdPrior();
       refit_done = refit.ok();
@@ -108,39 +106,8 @@ void DynamicGbdaService::Republish(bool force_refit) {
     dense_profiles.push_back(profiles_[id]);
   }
   snap->prefilter = std::make_shared<const Prefilter>(std::move(dense_profiles));
-  const size_t shard_count = options_.service.num_shards == 0
-                                 ? pool_.size()
-                                 : options_.service.num_shards;
-  snap->shards = std::make_unique<IndexShards>(snap->index.get(),
-                                               shard_count);
-  snap->ann = std::make_shared<AnnState>();
-
-  // Engine replicas memoise posterior values that depend only on the two
-  // priors, so when neither prior object changed the previous generation's
-  // warm replicas carry over; otherwise fresh ones are built against the
-  // new prior objects (kept alive by the snapshot's index).
-  std::shared_ptr<const Snapshot> prev = LoadSnapshot();
-  if (prev && &prev->index->gbd_prior() == &snap->index->gbd_prior() &&
-      prev->index->mutable_ged_prior() == snap->index->mutable_ged_prior()) {
-    snap->engines = prev->engines;
-  } else {
-    auto engines =
-        std::make_shared<std::vector<std::unique_ptr<PosteriorEngine>>>();
-    engines->reserve(pool_.size() + 1);
-    for (size_t i = 0; i < pool_.size() + 1; ++i) {
-      engines->push_back(std::make_unique<PosteriorEngine>(
-          snap->index->num_vertex_labels(), snap->index->num_edge_labels(),
-          snap->index->tau_max(), snap->index->mutable_ged_prior(),
-          &snap->index->gbd_prior()));
-    }
-    snap->engines = std::move(engines);
-  }
-
-  const double rebuild_seconds = rebuild_timer.Seconds();
-  WallTimer swap_timer;
-  std::atomic_store(&snapshot_,
-                    std::shared_ptr<const Snapshot>(std::move(snap)));
-  const double swap_seconds = swap_timer.Seconds();
+  const double swap_seconds = Publish(std::move(snap));
+  const double rebuild_seconds = rebuild_timer.Seconds() - swap_seconds;
 
   MutexLock lock(&stats_mutex_);
   ++dynamic_stats_.snapshots_published;
@@ -156,22 +123,6 @@ void DynamicGbdaService::Republish(bool force_refit) {
       std::max(dynamic_stats_.max_swap_seconds, swap_seconds);
 }
 
-std::shared_ptr<const DynamicGbdaService::Snapshot>
-DynamicGbdaService::LoadSnapshot() const {
-  return std::atomic_load(&snapshot_);
-}
-
-namespace {
-
-/// Fills the caller's generation token from the just-published snapshot.
-/// Callers hold write_mutex_, so the loaded snapshot is exactly the one
-/// their Republish stored (no later commit can have intervened).
-void ReportPublished(const SnapshotInfo& info, SnapshotInfo* published) {
-  if (published != nullptr) *published = info;
-}
-
-}  // namespace
-
 Result<size_t> DynamicGbdaService::AddGraph(Graph g, SnapshotInfo* published) {
   Result<std::vector<size_t>> ids = AddGraphs({std::move(g)}, published);
   if (!ids.ok()) return ids.status();
@@ -181,7 +132,7 @@ Result<size_t> DynamicGbdaService::AddGraph(Graph g, SnapshotInfo* published) {
 Result<std::vector<size_t>> DynamicGbdaService::AddGraphs(
     std::vector<Graph> graphs, SnapshotInfo* published) {
   if (graphs.empty()) {
-    ReportPublished(snapshot_info(), published);  // no commit, current gen
+    if (published != nullptr) *published = snapshot_info();  // no commit
     return std::vector<size_t>{};
   }
   MutexLock lock(&write_mutex_);
@@ -204,14 +155,14 @@ Result<std::vector<size_t>> DynamicGbdaService::AddGraphs(
     dynamic_stats_.graphs_added += ids.size();
   }
   Republish();
-  ReportPublished(snapshot_info(), published);
+  if (published != nullptr) *published = snapshot_info();
   return ids;
 }
 
 Status DynamicGbdaService::RemoveGraphs(const std::vector<size_t>& ids,
                                         SnapshotInfo* published) {
   if (ids.empty()) {
-    ReportPublished(snapshot_info(), published);
+    if (published != nullptr) *published = snapshot_info();
     return Status::OK();
   }
   MutexLock lock(&write_mutex_);
@@ -224,7 +175,7 @@ Status DynamicGbdaService::RemoveGraphs(const std::vector<size_t>& ids,
     dynamic_stats_.graphs_removed += ids.size();
   }
   Republish();
-  ReportPublished(snapshot_info(), published);
+  if (published != nullptr) *published = snapshot_info();
   return Status::OK();
 }
 
@@ -241,7 +192,7 @@ LabelId DynamicGbdaService::InternEdgeLabel(const std::string& name) {
 Status DynamicGbdaService::Flush(SnapshotInfo* published) {
   MutexLock lock(&write_mutex_);
   Republish(/*force_refit=*/true);
-  ReportPublished(snapshot_info(), published);
+  if (published != nullptr) *published = snapshot_info();
   // The snapshot is published either way (availability), but a caller
   // flushing to guarantee a fresh Lambda2 must hear when the refit could
   // not run (degenerate corpus or fit failure).
@@ -253,141 +204,13 @@ Status DynamicGbdaService::Flush(SnapshotInfo* published) {
   return Status::OK();
 }
 
-Status DynamicGbdaService::EnsureSnapshotAnn(const Snapshot& snap) const {
-  AnnState* state = snap.ann.get();
-  std::call_once(state->once, [this, &snap, state] {
-    // Built from the snapshot's own prefilter profiles: the dense ids the
-    // graph navigates are exactly this generation's corpus positions.
-    Result<AnnContext> ctx = AnnContext::Build(
-        FingerprintStore::FromPrefilter(*snap.prefilter),
-        options_.service.ann_build);
-    if (ctx.ok()) {
-      state->ctx = std::make_unique<const AnnContext>(std::move(*ctx));
-    } else {
-      state->status = ctx.status();
-    }
-  });
-  return state->status;
-}
-
-Status DynamicGbdaService::WarmAnnGraph() {
-  return EnsureSnapshotAnn(*LoadSnapshot());
-}
-
-Result<std::vector<SearchResult>> DynamicGbdaService::RunBatchOn(
-    const std::shared_ptr<const Snapshot>& snap, Span<Graph> queries,
-    const SearchOptions& options, bool apply_gamma, size_t top_k) {
-  WallTimer timer;
-  // Same routing rule as GbdaService::RunBatch: approximate serves
-  // concrete-k rankings only, and the context (like everything else in the
-  // env) belongs to the pinned generation.
-  const bool approximate = options.approximate && !apply_gamma &&
-                           top_k != kScanAllMatches && top_k > 0;
-  if (approximate) {
-    Status ann_ok = EnsureSnapshotAnn(*snap);
-    if (!ann_ok.ok()) return ann_ok;
-  }
-  ParallelScanEnv env{&pool_, snap->shards.get(), snap->index.get(),
-                      snap->prefilter.get(), CorpusRef(&snap->graphs),
-                      snap->engines.get()};
-  Result<std::vector<SearchResult>> results =
-      approximate
-          ? AnnScanBatch(env, *snap->ann->ctx, queries, options, top_k)
-          : ParallelScanBatch(env, queries, options, apply_gamma, top_k);
-  if (!results.ok()) return results;
-
-  for (SearchResult& r : *results) {
-    // Dense positions -> stable ids. The map is ascending, so the serial id
-    // order and every top-k tie-break survive the translation.
-    for (SearchMatch& m : r.matches) {
-      m.graph_id = snap->stable_ids[m.graph_id];
-    }
-  }
-  AccumulateServiceStats(*results, timer.Seconds(), &counters_);
-  return results;
-}
-
-Result<SearchResult> DynamicGbdaService::Query(const Graph& query,
-                                               const SearchOptions& options) {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  Result<std::vector<SearchResult>> batch =
-      RunBatchOn(snap, Span<Graph>(&query, 1), options, /*apply_gamma=*/true,
-                 kScanAllMatches);
-  if (!batch.ok()) return batch.status();
-  return std::move((*batch)[0]);
-}
-
-Result<SearchResult> DynamicGbdaService::QueryTopK(const Graph& query,
-                                                   size_t k,
-                                                   const SearchOptions& options) {
-  // k == 0: defined-empty ranking, decided at the API boundary — no
-  // snapshot scan runs (the query still counts as served).
-  if (k == 0) {
-    std::vector<SearchResult> empty(1);
-    AccumulateServiceStats(empty, 0.0, &counters_);
-    return SearchResult{};
-  }
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  // Clamp exactly as GbdaService does, against THIS snapshot's corpus, so an
-  // oversized k cannot collide with the kScanAllMatches sentinel.
-  k = std::min(k, snap->index->num_graphs());
-  Result<std::vector<SearchResult>> batch = RunBatchOn(
-      snap, Span<Graph>(&query, 1), options, /*apply_gamma=*/false, k);
-  if (!batch.ok()) return batch.status();
-  return std::move((*batch)[0]);
-}
-
-Result<std::vector<SearchResult>> DynamicGbdaService::QueryTopKBatch(
-    Span<Graph> queries, size_t k, const SearchOptions& options,
-    SnapshotInfo* served) {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  if (served != nullptr) {
-    served->generation = snap->generation;
-    served->num_live = snap->index->num_graphs();
-    served->gbd_staleness = snap->index->gbd_staleness();
-  }
-  if (k == 0) {
-    std::vector<SearchResult> empty(queries.size());
-    AccumulateServiceStats(empty, 0.0, &counters_);
-    counters_.batches_served.Add(1);
-    return empty;
-  }
-  k = std::min(k, snap->index->num_graphs());
-  Result<std::vector<SearchResult>> batch =
-      RunBatchOn(snap, queries, options, /*apply_gamma=*/false, k);
-  if (batch.ok()) counters_.batches_served.Add(1);
-  return batch;
-}
-
-Result<std::vector<SearchResult>> DynamicGbdaService::QueryBatch(
-    Span<Graph> queries, const SearchOptions& options) {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  Result<std::vector<SearchResult>> batch = RunBatchOn(
-      snap, queries, options, /*apply_gamma=*/true, kScanAllMatches);
-  if (batch.ok()) counters_.batches_served.Add(1);
-  return batch;
-}
-
-SnapshotInfo DynamicGbdaService::snapshot_info() const {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  SnapshotInfo info;
-  if (snap) {
-    info.generation = snap->generation;
-    info.num_live = snap->index->num_graphs();
-    info.gbd_staleness = snap->index->gbd_staleness();
-  }
-  return info;
-}
-
-ServiceStats DynamicGbdaService::stats() const { return counters_.Snapshot(); }
-
 DynamicServiceStats DynamicGbdaService::dynamic_stats() const {
   MutexLock lock(&stats_mutex_);
   return dynamic_stats_;
 }
 
 void DynamicGbdaService::ResetStats() {
-  counters_.Reset();
+  GbdaService::ResetStats();
   MutexLock lock(&stats_mutex_);
   dynamic_stats_ = DynamicServiceStats();
 }

@@ -1,7 +1,9 @@
 #include "service/gbda_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/timer.h"
@@ -25,8 +27,8 @@ void AppendCounterFamily(std::vector<obs::MetricFamily>* out, const std::string&
   out->push_back(obs::MetricFamily{name, help, obs::MetricType::kCounter, {std::move(point)}});
 }
 
-}  // namespace
-
+/// Folds one batch's results into the sharded counters (safe from any
+/// thread, no locking). `wall_seconds` is the top-level call's wall time.
 void AccumulateServiceStats(const std::vector<SearchResult>& results,
                             double wall_seconds, ServiceCounters* counters) {
   counters->queries_served.Add(results.size());
@@ -44,6 +46,14 @@ void AccumulateServiceStats(const std::vector<SearchResult>& results,
   }
   counters->wall_nanos.Add(SecondsToNanos(wall_seconds));
 }
+
+/// The single result of a one-query batch.
+Result<SearchResult> OnlyResult(Result<std::vector<SearchResult>> batch) {
+  if (!batch.ok()) return batch.status();
+  return std::move((*batch)[0]);
+}
+
+}  // namespace
 
 ServiceStats ServiceCounters::Snapshot() const {
   ServiceStats stats;
@@ -121,154 +131,209 @@ Result<std::unique_ptr<GbdaService>> GbdaService::Create(
   return std::make_unique<GbdaService>(db, index, options);
 }
 
+GbdaService::GbdaService(const ServiceOptions& options)
+    : options_(options), pool_(options.num_threads) {}
+
 GbdaService::GbdaService(const GraphDatabase* db, const IndexReader* index,
                          const ServiceOptions& options)
-    : db_(db),
-      index_(index),
-      ann_build_(options.ann_build),
-      pool_(options.num_threads),
-      shards_(index,
-              options.num_shards == 0 ? pool_.size() : options.num_shards) {
-  // One engine per worker plus a spare for non-pool threads; replicas share
-  // the index's thread-safe priors (see the file comment).
-  engines_.reserve(pool_.size() + 1);
-  for (size_t i = 0; i < pool_.size() + 1; ++i) {
-    engines_.push_back(std::make_unique<PosteriorEngine>(
-        index_->num_vertex_labels(), index_->num_edge_labels(),
-        index_->tau_max(), index_->mutable_ged_prior(),
-        &index_->gbd_prior()));
-  }
+    : GbdaService(options) {
+  // The frozen corpus as generation 0: borrowed database and index (a
+  // non-owning shared_ptr), identity ids, prefilter left to the first
+  // use_prefilter query.
+  auto snap = std::make_shared<Snapshot>();
+  snap->stable_ids.resize(index->num_graphs());
+  std::iota(snap->stable_ids.begin(), snap->stable_ids.end(), size_t{0});
+  snap->db = db;
+  snap->index = std::shared_ptr<const IndexReader>(
+      std::shared_ptr<const IndexReader>(), index);
+  Publish(std::move(snap));
 }
 
-const Prefilter* GbdaService::EnsurePrefilter() {
-  std::call_once(prefilter_once_,
-                 [this] { prefilter_ = std::make_unique<Prefilter>(db_); });
-  return prefilter_.get();
+GbdaService::~GbdaService() = default;
+
+double GbdaService::Publish(std::shared_ptr<Snapshot> snap) {
+  const size_t shard_count =
+      options_.num_shards == 0 ? pool_.size() : options_.num_shards;
+  snap->shards = std::make_unique<IndexShards>(snap->index.get(), shard_count);
+
+  // Engine replicas memoise posterior values that depend only on the two
+  // priors, so when neither prior object changed the previous generation's
+  // warm replicas carry over; otherwise fresh ones are built against the
+  // new prior objects (kept alive by the snapshot's index).
+  std::shared_ptr<const Snapshot> prev = LoadSnapshot();
+  if (prev && &prev->index->gbd_prior() == &snap->index->gbd_prior() &&
+      prev->index->mutable_ged_prior() == snap->index->mutable_ged_prior()) {
+    snap->engines = prev->engines;
+  } else {
+    // One engine per worker plus a spare for non-pool threads; replicas
+    // share the index's thread-safe priors (see the file comment).
+    auto engines =
+        std::make_shared<std::vector<std::unique_ptr<PosteriorEngine>>>();
+    engines->reserve(pool_.size() + 1);
+    for (size_t i = 0; i < pool_.size() + 1; ++i) {
+      engines->push_back(std::make_unique<PosteriorEngine>(
+          snap->index->num_vertex_labels(), snap->index->num_edge_labels(),
+          snap->index->tau_max(), snap->index->mutable_ged_prior(),
+          &snap->index->gbd_prior()));
+    }
+    snap->engines = std::move(engines);
+  }
+
+  WallTimer swap_timer;
+  std::atomic_store(&snapshot_,
+                    std::shared_ptr<const Snapshot>(std::move(snap)));
+  return swap_timer.Seconds();
+}
+
+std::shared_ptr<const GbdaService::Snapshot> GbdaService::LoadSnapshot()
+    const {
+  return std::atomic_load(&snapshot_);
+}
+
+bool GbdaService::InitAnn(const Snapshot& snap,
+                          const ProximityGraphRef* adopt) const {
+  bool ran = false;
+  std::call_once(snap.ann_once, [this, &snap, adopt, &ran] {
+    ran = true;
+    // The navigator compares the query profile's branch keys against the
+    // index's fingerprint column — the same keys, so build-time and
+    // query-time geometry agree.
+    FingerprintStore store = FingerprintStore::FromIndex(*snap.index);
+    Result<AnnContext> ctx =
+        adopt != nullptr
+            ? AnnContext::Adopt(std::move(store), *adopt)
+            : AnnContext::Build(std::move(store), options_.ann_build);
+    if (ctx.ok()) {
+      snap.ann = std::make_unique<const AnnContext>(std::move(*ctx));
+    } else {
+      snap.ann_status = ctx.status();
+    }
+  });
+  return ran;
 }
 
 Status GbdaService::WarmAnnGraph() {
-  std::call_once(ann_once_, [this] {
-    // The fingerprint store reuses the prefilter's per-graph sorted branch
-    // keys — the same keys the navigator compares against the query profile
-    // at search time, so build-time and query-time geometry agree.
-    Result<AnnContext> ctx = AnnContext::Build(
-        FingerprintStore::FromPrefilter(*EnsurePrefilter()), ann_build_);
-    if (ctx.ok()) {
-      ann_ = std::make_unique<const AnnContext>(std::move(*ctx));
-    } else {
-      ann_status_ = ctx.status();
-    }
-  });
-  return ann_status_;
+  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
+  InitAnn(*snap, nullptr);
+  return snap->ann_status;
 }
 
 Status GbdaService::AdoptAnnGraph(const ProximityGraphRef& graph) {
-  bool ran = false;
-  std::call_once(ann_once_, [this, &graph, &ran] {
-    ran = true;
-    Result<AnnContext> ctx = AnnContext::Adopt(
-        FingerprintStore::FromPrefilter(*EnsurePrefilter()), graph);
-    if (ctx.ok()) {
-      ann_ = std::make_unique<const AnnContext>(std::move(*ctx));
-    } else {
-      ann_status_ = ctx.status();
-    }
-  });
-  if (!ran) {
+  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
+  if (!InitAnn(*snap, &graph)) {
     return Status::FailedPrecondition(
         "AdoptAnnGraph: the approximate navigation context is already "
         "initialised — adopt before the first approximate query or "
         "WarmAnnGraph call");
   }
-  return ann_status_;
+  return snap->ann_status;
 }
 
-Result<std::vector<SearchResult>> GbdaService::RunBatch(
-    Span<Graph> queries, const SearchOptions& options, bool apply_gamma,
-    size_t top_k) {
+Result<std::vector<SearchResult>> GbdaService::RunBatchOn(
+    const Snapshot& snap, Span<Graph> queries, const SearchOptions& options,
+    bool apply_gamma, size_t top_k) {
   WallTimer timer;
   // Retired db slots would otherwise still be scanned (their index entries
   // are intact); PrepareScan catches the tombstoned-index direction.
-  if (db_->has_tombstones()) {
+  if (snap.db != nullptr && snap.db->has_tombstones()) {
     return Status::FailedPrecondition(
         "database is tombstoned: the frozen scan cannot serve a mutated "
         "corpus — use DynamicGbdaService");
   }
   // Approximate navigation serves concrete-k rankings only: threshold
   // queries are defined over the whole corpus, and a clamped k of 0 (empty
-  // corpus) already has a defined-empty exhaustive answer. Its fingerprint
-  // store comes from the prefilter profiles, so it builds them too.
+  // corpus) already has a defined-empty exhaustive answer.
   const bool approximate = options.approximate && !apply_gamma &&
                            top_k != kScanAllMatches && top_k > 0;
-  const Prefilter* prefilter = options.use_prefilter || approximate
-                                   ? EnsurePrefilter()
-                                   : nullptr;
-  ParallelScanEnv env{&pool_, &shards_, index_, prefilter, CorpusRef(db_),
-                      &engines_};
   if (approximate) {
-    Status warm = WarmAnnGraph();
-    if (!warm.ok()) return warm;
+    InitAnn(snap, nullptr);
+    GBDA_RETURN_IF_ERROR(snap.ann_status);
   }
+  const Prefilter* prefilter = nullptr;
+  if (options.use_prefilter) {
+    // Profile extraction is O(corpus) and cold-start sensitive (a mapped
+    // artifact opens in microseconds), so a frozen snapshot builds its
+    // prefilter on the first query that enables it.
+    std::call_once(snap.prefilter_once, [&snap] {
+      if (!snap.prefilter) {
+        snap.prefilter = std::make_shared<Prefilter>(snap.db);
+      }
+    });
+    prefilter = snap.prefilter.get();
+  }
+  const CorpusRef corpus = snap.corpus();
+  ParallelScanEnv env{&pool_, snap.shards.get(), snap.index.get(), prefilter,
+                      corpus, snap.engines.get()};
   Result<std::vector<SearchResult>> results =
       approximate
-          ? AnnScanBatch(env, *ann_, queries, options, top_k)
+          ? AnnScanBatch(env, *snap.ann, queries, options, top_k)
           : ParallelScanBatch(env, queries, options, apply_gamma, top_k);
   if (!results.ok()) return results;
 
+  for (SearchResult& r : *results) {
+    // Dense positions -> stable ids. The map is ascending, so the serial id
+    // order and every top-k tie-break survive the translation.
+    for (SearchMatch& m : r.matches) m.graph_id = snap.stable_ids[m.graph_id];
+  }
   AccumulateServiceStats(*results, timer.Seconds(), &counters_);
   return results;
 }
 
+Result<std::vector<SearchResult>> GbdaService::RunTopKOn(
+    const Snapshot& snap, Span<Graph> queries, size_t k,
+    const SearchOptions& options) {
+  // k == 0 is a valid request for an empty ranking, decided here at the
+  // API boundary: no scan runs (the queries still count as served). See
+  // core/gbda_search.h on the kScanAllMatches sentinel vs k == 0.
+  if (k == 0) {
+    std::vector<SearchResult> empty(queries.size());
+    AccumulateServiceStats(empty, 0.0, &counters_);
+    return empty;
+  }
+  // A scan never yields more matches than the snapshot has graphs, so the
+  // clamp is behavior-free.
+  k = std::min(k, snap.index->num_graphs());
+  return RunBatchOn(snap, queries, options, /*apply_gamma=*/false, k);
+}
+
 Result<SearchResult> GbdaService::Query(const Graph& query,
                                         const SearchOptions& options) {
-  Result<std::vector<SearchResult>> batch = RunBatch(
-      Span<Graph>(&query, 1), options, /*apply_gamma=*/true, kScanAllMatches);
-  if (!batch.ok()) return batch.status();
-  return std::move((*batch)[0]);
+  return OnlyResult(RunBatchOn(*LoadSnapshot(), Span<Graph>(&query, 1),
+                               options, /*apply_gamma=*/true, kScanAllMatches));
 }
 
 Result<SearchResult> GbdaService::QueryTopK(const Graph& query, size_t k,
                                             const SearchOptions& options) {
-  // k == 0 is a valid request for an empty ranking, decided here at the
-  // API boundary: no scan runs (the query still counts as served). See
-  // core/gbda_search.h on the kScanAllMatches sentinel vs k == 0.
-  if (k == 0) {
-    std::vector<SearchResult> empty(1);
-    AccumulateServiceStats(empty, 0.0, &counters_);
-    return SearchResult{};
-  }
-  // Clamp so an oversized k (notably SIZE_MAX) cannot collide with the
-  // kScanAllMatches sentinel and skip the ranking sort; a scan never yields
-  // more matches than the database has graphs, so the clamp is behavior-free.
-  k = std::min(k, shards_.num_graphs());
-  Result<std::vector<SearchResult>> batch =
-      RunBatch(Span<Graph>(&query, 1), options, /*apply_gamma=*/false, k);
-  if (!batch.ok()) return batch.status();
-  return std::move((*batch)[0]);
+  return OnlyResult(
+      RunTopKOn(*LoadSnapshot(), Span<Graph>(&query, 1), k, options));
 }
 
 Result<std::vector<SearchResult>> GbdaService::QueryBatch(
     Span<Graph> queries, const SearchOptions& options) {
   Result<std::vector<SearchResult>> batch =
-      RunBatch(queries, options, /*apply_gamma=*/true, kScanAllMatches);
+      RunBatchOn(*LoadSnapshot(), queries, options, /*apply_gamma=*/true,
+                 kScanAllMatches);
   if (batch.ok()) counters_.batches_served.Add(1);
   return batch;
 }
 
 Result<std::vector<SearchResult>> GbdaService::QueryTopKBatch(
-    Span<Graph> queries, size_t k, const SearchOptions& options) {
-  if (k == 0) {
-    // Defined-empty rankings for the whole batch, no scan (see QueryTopK).
-    std::vector<SearchResult> empty(queries.size());
-    AccumulateServiceStats(empty, 0.0, &counters_);
-    counters_.batches_served.Add(1);
-    return empty;
-  }
-  k = std::min(k, shards_.num_graphs());
+    Span<Graph> queries, size_t k, const SearchOptions& options,
+    SnapshotInfo* served) {
+  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
+  if (served != nullptr) *served = snap->info();
   Result<std::vector<SearchResult>> batch =
-      RunBatch(queries, options, /*apply_gamma=*/false, k);
+      RunTopKOn(*snap, queries, k, options);
   if (batch.ok()) counters_.batches_served.Add(1);
   return batch;
+}
+
+size_t GbdaService::num_shards() const {
+  return LoadSnapshot()->shards->num_shards();
+}
+
+SnapshotInfo GbdaService::snapshot_info() const {
+  return LoadSnapshot()->info();
 }
 
 ServiceStats GbdaService::stats() const { return counters_.Snapshot(); }

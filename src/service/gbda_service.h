@@ -1,11 +1,18 @@
 /// \file gbda_service.h
 /// The serving layer: a concurrent, sharded front-end over the one-shot
 /// GbdaSearch (docs/ARCHITECTURE.md, "Serving layer"). A GbdaService owns a
-/// fixed-size ThreadPool and an IndexShards partitioning of the database;
-/// Query / QueryTopK / QueryBatch fan every (query, shard) pair onto the
-/// pool and merge shard results deterministically, so the output — match
-/// set, ordering, top-k tie-breaking and the candidates/prefilter counters
-/// — is bit-identical to the serial GbdaSearch scan.
+/// fixed-size ThreadPool and answers every query against one published,
+/// immutable snapshot of the corpus: its index, IndexShards partitioning,
+/// engines and lazily-built prefilter and navigation context. Query /
+/// QueryTopK / QueryBatch fan every (query, shard) pair onto the pool and
+/// merge shard results deterministically, so the output — match set,
+/// ordering, top-k tie-breaking and the candidates/prefilter counters — is
+/// bit-identical to the serial GbdaSearch scan of that snapshot's corpus.
+///
+/// A frozen corpus is the case whose snapshot never changes: the service
+/// publishes generation 0 once, over the borrowed database and index.
+/// DynamicGbdaService (service/dynamic_service.h) is the same query core
+/// plus a mutation half that publishes a new snapshot per commit.
 ///
 /// Each pool worker owns a private PosteriorEngine replica: the engine
 /// lazily warms per-size Lambda1 calculators and a (v, phi, tau_hat) memo,
@@ -17,8 +24,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "ann/navigator.h"
@@ -121,20 +130,30 @@ struct ServiceCounters {
   void Collect(const std::string& labels, std::vector<obs::MetricFamily>* out) const;
 };
 
-/// Folds one batch's results into the sharded counters (shared by
-/// GbdaService and DynamicGbdaService; safe to call from any thread, no
-/// locking). `wall_seconds` is the top-level call's wall time.
-void AccumulateServiceStats(const std::vector<SearchResult>& results,
-                            double wall_seconds, ServiceCounters* counters);
+/// One published generation: the identity of the corpus a query is served
+/// against. A frozen service publishes generation 0 once; a dynamic one
+/// publishes 1, 2, ... as commits land.
+struct SnapshotInfo {
+  uint64_t generation = 0;
+  size_t num_live = 0;
+  /// Mutations absorbed since Lambda2 was last fit (0 means the snapshot is
+  /// bit-identical to a from-scratch Build of its corpus).
+  size_t gbd_staleness = 0;
+};
 
-/// Concurrent sharded query engine over a prebuilt index. The index is
-/// consumed through the IndexReader contract (core/index_reader.h), so the
-/// service serves equally from an owned GbdaIndex and from a zero-copy
-/// GbdaIndexView over a mapped v3 artifact (storage/index_view.h) — results
-/// are bit-identical either way. Thread-safe: concurrent public calls are
-/// allowed (they share the pool and the per-worker engines; statistics are
-/// mutex-guarded). `db` and `index` must outlive the service and the index
-/// must have been built over exactly this database.
+/// Concurrent sharded query engine over an immutable snapshot of the
+/// corpus. Every query pins the published snapshot once and answers against
+/// it alone, so results are bit-identical to the serial GbdaSearch over
+/// that snapshot's corpus. A service built by Create / the public
+/// constructor serves a frozen corpus: it publishes exactly one snapshot
+/// (generation 0) over the borrowed `db` and `index`, read through the
+/// IndexReader contract (core/index_reader.h), so an owned GbdaIndex and a
+/// zero-copy GbdaIndexView over a mapped v3 artifact serve bit-identically.
+/// DynamicGbdaService (service/dynamic_service.h) derives from it and
+/// publishes a new snapshot per commit. Thread-safe: concurrent public
+/// calls share the pool and the per-worker engines; statistics are
+/// lock-free sharded counters. `db` and `index` must outlive the service
+/// and the index must have been built over exactly this database.
 class GbdaService {
  public:
   /// Checked construction: fails when `index` does not agree with `db`
@@ -150,6 +169,9 @@ class GbdaService {
   /// before any out-of-bounds access can happen).
   GbdaService(const GraphDatabase* db, const IndexReader* index,
               const ServiceOptions& options = ServiceOptions());
+  virtual ~GbdaService();
+  GbdaService(const GbdaService&) = delete;
+  GbdaService& operator=(const GbdaService&) = delete;
 
   /// Threshold query, bit-identical to GbdaSearch::Query (matches in
   /// ascending graph id order). result.seconds is the query's wall latency.
@@ -175,43 +197,57 @@ class GbdaService {
   Result<std::vector<SearchResult>> QueryBatch(Span<Graph> queries,
                                                const SearchOptions& options);
 
-  /// Batched top-k rankings with the same in-flight fan-out as QueryBatch;
-  /// results[i] is bit-identical to QueryTopK(queries[i], k, options).
-  /// Each query job carries its own shard-shared pruning bound.
-  Result<std::vector<SearchResult>> QueryTopKBatch(Span<Graph> queries,
-                                                   size_t k,
-                                                   const SearchOptions& options);
+  /// Batched top-k rankings with the same in-flight fan-out as QueryBatch,
+  /// all against ONE pinned snapshot; results[i] is bit-identical to
+  /// QueryTopK(queries[i], k, options) against that snapshot. Each query
+  /// job carries its own shard-shared pruning bound. `served` (non-null)
+  /// reports the pinned snapshot's identity — the handoff the network
+  /// front-end uses to stamp every co-batched response with its generation
+  /// (filled on success and failure, and for k == 0, where no scan runs).
+  Result<std::vector<SearchResult>> QueryTopKBatch(
+      Span<Graph> queries, size_t k, const SearchOptions& options,
+      SnapshotInfo* served = nullptr);
 
   size_t num_threads() const { return pool_.size(); }
-  size_t num_shards() const { return shards_.num_shards(); }
+  /// Shard count of the published snapshot.
+  size_t num_shards() const;
+  /// The published snapshot's identity (atomic read, no locking).
+  SnapshotInfo snapshot_info() const;
+  /// Live graph count of the published snapshot.
+  size_t num_live() const { return snapshot_info().num_live; }
 
   // -- Approximate navigation ------------------------------------------------
   // Ranking queries with options.approximate walk a proximity graph over
   // branch-fingerprint similarity instead of scanning every shard, then
   // verify the visited candidates exactly (ann/navigator.h): the result is
-  // a subset of the exhaustive top-k with bit-exact scores. The context is
-  // built at most once per service — lazily on the first approximate query,
-  // eagerly via WarmAnnGraph, or adopted from a mapped artifact.
+  // a subset of the exhaustive top-k with bit-exact scores. Each snapshot
+  // owns its navigation context, built at most once from the snapshot
+  // index's fingerprint column — lazily on the first approximate query,
+  // eagerly via WarmAnnGraph, or adopted from a mapped artifact. A frozen
+  // service has one snapshot, so one context; a dynamic service starts
+  // cold again at every commit.
 
-  /// Ensures the navigation context exists, building it with
-  /// ServiceOptions::ann_build when nothing was adopted. Idempotent;
-  /// returns the (sticky) build status. Call it at startup to keep the
-  /// O(corpus · degree · window) construction off the first query's latency.
+  /// Ensures the published snapshot's navigation context exists, building
+  /// it with ServiceOptions::ann_build when nothing was adopted.
+  /// Idempotent; returns the (sticky) build status. Call it at startup to
+  /// keep the O(corpus · degree · window) construction off the first
+  /// query's latency.
   Status WarmAnnGraph();
 
-  /// Adopts a prebuilt graph — typically GbdaIndexView::ann_graph() from a
-  /// v3 artifact written with one — instead of building. The referenced
-  /// storage must outlive the service, and the graph must cover exactly the
-  /// index's graphs. Fails (FailedPrecondition) once the context exists,
-  /// so adopt before the first approximate query or WarmAnnGraph call.
+  /// Adopts a prebuilt graph for the published snapshot — typically
+  /// GbdaIndexView::ann_graph() from a v3 artifact written with one —
+  /// instead of building. The referenced storage must outlive the service,
+  /// and the graph must cover exactly the snapshot's graphs. Fails
+  /// (FailedPrecondition) once the context exists, so adopt before the
+  /// first approximate query or WarmAnnGraph call.
   Status AdoptAnnGraph(const ProximityGraphRef& graph);
 
-  /// Snapshot of the aggregate counters (exact once in-flight queries have
-  /// returned; a consistent lower bound while they run).
+  /// Snapshot of the aggregate query counters (exact once in-flight
+  /// queries have returned; a consistent lower bound while they run).
   ServiceStats stats() const;
   /// Zeroes the counters. Quiesce concurrent queries first: an accumulation
   /// racing the reset may survive it partially.
-  void ResetStats();
+  virtual void ResetStats();
 
   /// Appends this service's metric families for a registry collector.
   void CollectMetrics(const std::string& labels,
@@ -219,36 +255,78 @@ class GbdaService {
     counters_.Collect(labels, out);
   }
 
+ protected:
+  /// Everything one query generation needs. Once published it is never
+  /// modified, except for the lazily-built prefilter and navigation
+  /// context, which call_once guards.
+  struct Snapshot {
+    uint64_t generation = 0;
+    std::vector<size_t> stable_ids;  // dense position -> reported id
+    /// The corpus: a borrowed frozen database, or (when null) the dense
+    /// graph pointers of a dynamic generation.
+    const GraphDatabase* db = nullptr;
+    std::vector<const Graph*> graphs;
+    std::shared_ptr<const IndexReader> index;
+    /// Null until the first use_prefilter query builds it from `db`,
+    /// unless the publisher supplied one.
+    mutable std::shared_ptr<const Prefilter> prefilter;
+    mutable std::once_flag prefilter_once;
+    std::unique_ptr<IndexShards> shards;
+    /// One engine per pool worker + spare; shared with the previous
+    /// generation when both priors are unchanged (replicas stay warm).
+    std::shared_ptr<std::vector<std::unique_ptr<PosteriorEngine>>> engines;
+    /// Approximate-navigation context; a failed build is sticky in
+    /// ann_status so approximate queries report it instead of silently
+    /// rescanning.
+    mutable std::once_flag ann_once;
+    mutable std::unique_ptr<const AnnContext> ann;
+    mutable Status ann_status;
+
+    CorpusRef corpus() const {
+      return db != nullptr ? CorpusRef(db) : CorpusRef(&graphs);
+    }
+    SnapshotInfo info() const {
+      return SnapshotInfo{generation, index->num_graphs(),
+                          index->gbd_staleness()};
+    }
+  };
+
+  /// For derived publishers: owns the pool, publishes nothing.
+  explicit GbdaService(const ServiceOptions& options);
+
+  /// The publication hook. Completes `snap` (generation, ids, corpus,
+  /// index and optional prefilter filled by the caller) with its shards and
+  /// engine replicas, then swaps it in atomically; in-flight queries keep
+  /// the generation they pinned. Returns the seconds the swap itself took.
+  double Publish(std::shared_ptr<Snapshot> snap);
+
  private:
-  /// Shared fan-out/merge (service/parallel_scan.h). top_k ==
+  std::shared_ptr<const Snapshot> LoadSnapshot() const;
+  /// Shared fan-out/merge over one pinned snapshot (service/
+  /// parallel_scan.h); remaps dense match ids through stable_ids. top_k ==
   /// kScanAllMatches keeps every match (threshold mode); otherwise each
   /// shard and the final merge truncate to top_k.
-  Result<std::vector<SearchResult>> RunBatch(Span<Graph> queries,
-                                             const SearchOptions& options,
-                                             bool apply_gamma, size_t top_k);
+  Result<std::vector<SearchResult>> RunBatchOn(const Snapshot& snap,
+                                               Span<Graph> queries,
+                                               const SearchOptions& options,
+                                               bool apply_gamma, size_t top_k);
+  /// The top-k entry shared by QueryTopK and QueryTopKBatch: k == 0 is a
+  /// defined-empty answer, any other k is clamped to the corpus so an
+  /// oversized k cannot collide with the kScanAllMatches sentinel.
+  Result<std::vector<SearchResult>> RunTopKOn(const Snapshot& snap,
+                                              Span<Graph> queries, size_t k,
+                                              const SearchOptions& options);
+  /// Initialises the snapshot's navigation context at most once — adopting
+  /// `adopt` when non-null, building it otherwise — with a sticky outcome
+  /// in snap.ann / snap.ann_status. Returns whether this call ran it.
+  bool InitAnn(const Snapshot& snap, const ProximityGraphRef* adopt) const;
 
-  /// The layered prefilter, built on the first batch that enables it:
-  /// profile extraction is O(corpus) and cold-start sensitive (the mapped
-  /// v3 serving path opens in microseconds; an eager prefilter would put a
-  /// corpus-sized decode right back into startup). Thread-safe via
-  /// call_once; returns a stable pointer.
-  const Prefilter* EnsurePrefilter();
-
-  const GraphDatabase* db_;
-  const IndexReader* index_;
-  AnnBuildParams ann_build_;
-  ThreadPool pool_;  // before shards_: the shard default is one per worker
-  std::once_flag prefilter_once_;
-  std::unique_ptr<Prefilter> prefilter_;
-  IndexShards shards_;
-  std::vector<std::unique_ptr<PosteriorEngine>> engines_;
-  /// Approximate-navigation context, initialised at most once (build or
-  /// adopt). A failed initialisation is sticky in ann_status_: every later
-  /// approximate query reports it rather than silently degrading to an
-  /// exhaustive scan the client did not ask to pay for.
-  std::once_flag ann_once_;
-  std::unique_ptr<const AnnContext> ann_;
-  Status ann_status_;
+  const ServiceOptions options_;
+  ThreadPool pool_;
+  /// Deliberately unguarded: accessed exclusively through the free
+  /// std::atomic_load/atomic_store shared_ptr overloads (LoadSnapshot /
+  /// Publish), the readers-never-block-writers handoff.
+  std::shared_ptr<const Snapshot> snapshot_;
 
   ServiceCounters counters_;
 };

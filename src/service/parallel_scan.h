@@ -2,10 +2,11 @@
 /// The shared fan-out/merge core of the serving layer: every (query, shard)
 /// pair becomes one pool task running core ScanRange, and per-shard partials
 /// are concatenated in shard order — bit-identical to the serial scan
-/// (docs/ARCHITECTURE.md, "Serving layer"). GbdaService runs it against a
-/// frozen database; DynamicGbdaService runs it against the dense corpus of
-/// an immutable snapshot. Everything referenced by ParallelScanEnv is
-/// borrowed and must stay alive for the duration of the call.
+/// (docs/ARCHITECTURE.md, "Serving layer"). GbdaService runs it against the
+/// corpus of the immutable snapshot a batch pinned — a frozen database's
+/// one generation-0 snapshot or a dynamic generation's dense corpus.
+/// Everything referenced by ParallelScanEnv is borrowed and must stay alive
+/// for the duration of the call.
 
 #pragma once
 

@@ -1,7 +1,8 @@
 // The offline half of approximate candidate navigation (src/ann):
-// FingerprintDistance, the FingerprintStore's two construction paths, the
-// Vamana-style builder's invariants, the section serialize/parse round trip
-// and the beam navigator's determinism/termination properties — including
+// FingerprintDistance, the FingerprintStore's agreement with query
+// profiles, the Vamana-style builder's invariants, the section
+// serialize/parse round trip and the beam navigator's
+// determinism/termination properties — including
 // the degenerate corpora (identical fingerprints, collision-heavy label
 // soups) where a naive nearest-neighbor walk could cycle. The builder must
 // give the same graph for every thread count, and the navigator must return
@@ -110,6 +111,17 @@ GraphDatabase IdenticalCorpus(size_t copies) {
   return db;
 }
 
+// The store the services navigate: the fingerprint column of an index
+// built over `db` (only the columns are used, so prior sampling stays small).
+FingerprintStore StoreOf(const GraphDatabase& db) {
+  GbdaIndexOptions options;
+  options.tau_max = 4;
+  options.gbd_prior.num_sample_pairs = 50;
+  Result<GbdaIndex> index = GbdaIndex::Build(db, options);
+  EXPECT_TRUE(index.ok()) << index.status().ToString();
+  return index.ok() ? FingerprintStore::FromIndex(*index) : FingerprintStore();
+}
+
 // ---------------------------------------------------------------------------
 // FingerprintDistance
 // ---------------------------------------------------------------------------
@@ -213,7 +225,7 @@ TEST(FingerprintDistanceTest, MatchesScalarIntersectionUnderEveryTable) {
 // FingerprintStore
 // ---------------------------------------------------------------------------
 
-TEST(FingerprintStoreTest, FromPrefilterAndFromIndexAgree) {
+TEST(FingerprintStoreTest, IndexKeysMatchQueryProfileKeys) {
   DatasetProfile profile = GrecProfile(0.03);
   profile.seed = 23;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
@@ -224,25 +236,25 @@ TEST(FingerprintStoreTest, FromPrefilterAndFromIndexAgree) {
   Result<GbdaIndex> index = GbdaIndex::Build(ds->db, options);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
 
-  const Prefilter prefilter(&ds->db);
-  const FingerprintStore from_profiles =
-      FingerprintStore::FromPrefilter(prefilter);
-  const FingerprintStore from_index = FingerprintStore::FromIndex(*index);
-
-  // The two construction paths (FilterProfile branch_keys vs fingerprinting
-  // the index's flat branch arrays) must yield identical keys — the
-  // services build from profiles, the tooling from artifacts, and both must
-  // navigate the same space.
-  ASSERT_EQ(from_profiles.size(), ds->db.size());
-  ASSERT_EQ(from_index.size(), ds->db.size());
+  // Navigation compares a query's FilterProfile branch_keys against the
+  // store built from the index's fp_keys column, so graph g's column keys
+  // must be exactly the keys its own profile would carry as a query.
+  const CandidateColumns columns = index->columns();
+  const FingerprintStore store = FingerprintStore::FromIndex(*index);
+  ASSERT_EQ(store.size(), ds->db.size());
   for (size_t g = 0; g < ds->db.size(); ++g) {
-    const Span<const uint64_t> a = from_profiles.keys(g);
-    const Span<const uint64_t> b = from_index.keys(g);
-    ASSERT_EQ(a.size(), b.size()) << "graph " << g;
-    EXPECT_TRUE(std::is_sorted(a.begin(), a.end())) << "graph " << g;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "graph " << g << " key " << i;
-    }
+    const std::vector<uint64_t> want =
+        BuildFilterProfile(ds->db.graph(g)).branch_keys;
+    const std::vector<uint64_t> column(
+        columns.fp_keys + columns.fp_offsets[g],
+        columns.fp_keys + columns.fp_offsets[g + 1]);
+    // FingerprintDistance and the navigator's kernels merge sorted keys.
+    EXPECT_TRUE(std::is_sorted(want.begin(), want.end())) << "graph " << g;
+    EXPECT_TRUE(std::is_sorted(column.begin(), column.end())) << "graph " << g;
+    EXPECT_EQ(column, want) << "graph " << g;
+    const Span<const uint64_t> keys = store.keys(g);
+    EXPECT_EQ(std::vector<uint64_t>(keys.begin(), keys.end()), want)
+        << "graph " << g;
   }
 }
 
@@ -252,8 +264,7 @@ TEST(FingerprintStoreTest, FromPrefilterAndFromIndexAgree) {
 
 TEST(ProximityGraphBuildTest, RejectsInvalidParams) {
   GraphDatabase db = IdenticalCorpus(4);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(db);
 
   AnnBuildParams params;
   params.graph_degree = 0;
@@ -304,32 +315,26 @@ TEST(ProximityGraphBuildTest, InvariantsAndDeterminismOnRealCorpus) {
   profile.seed = 31;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  const Prefilter prefilter(&ds->db);
   AnnBuildParams params;
   params.graph_degree = 8;
   params.build_window = 16;
-  ExpectThreadCountInvariant(FingerprintStore::FromPrefilter(prefilter),
-                             params);
+  ExpectThreadCountInvariant(StoreOf(ds->db), params);
 }
 
 TEST(ProximityGraphBuildTest, IdenticalFingerprintCorpus) {
   // Every pairwise distance is 0: the builder must still produce a valid,
   // fully reachable, deterministic graph (ties broken by id).
   GraphDatabase db = IdenticalCorpus(12);
-  const Prefilter prefilter(&db);
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
-  ExpectThreadCountInvariant(FingerprintStore::FromPrefilter(prefilter),
-                             params);
+  ExpectThreadCountInvariant(StoreOf(db), params);
 }
 
 TEST(ProximityGraphBuildTest, TinyCorpus) {
   // Fewer nodes than the degree bound: the graph degenerates gracefully.
   GraphDatabase db = IdenticalCorpus(2);
-  const Prefilter prefilter(&db);
-  ExpectThreadCountInvariant(FingerprintStore::FromPrefilter(prefilter),
-                             AnnBuildParams());
+  ExpectThreadCountInvariant(StoreOf(db), AnnBuildParams());
 }
 
 // ---------------------------------------------------------------------------
@@ -338,8 +343,7 @@ TEST(ProximityGraphBuildTest, TinyCorpus) {
 
 TEST(ProximityGraphSerializeTest, RoundTripPreservesEverything) {
   GraphDatabase db = IdenticalCorpus(9);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(db);
   AnnBuildParams params;
   params.graph_degree = 3;
   params.build_window = 6;
@@ -364,8 +368,7 @@ TEST(ProximityGraphSerializeTest, RoundTripPreservesEverything) {
 
 TEST(ProximityGraphSerializeTest, RejectsHostilePayloads) {
   GraphDatabase db = IdenticalCorpus(5);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(db);
   Result<ProximityGraph> graph = BuildProximityGraph(store, AnnBuildParams());
   ASSERT_TRUE(graph.ok());
   const std::string payload = SerializeProximityGraph(*graph);
@@ -461,8 +464,7 @@ class NavigationTest : public ::testing::Test {
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     db_ = std::move(ds->db);
     queries_ = std::move(ds->queries);
-    prefilter_ = std::make_unique<Prefilter>(&db_);
-    store_ = FingerprintStore::FromPrefilter(*prefilter_);
+    store_ = StoreOf(db_);
     AnnBuildParams params;
     params.graph_degree = 8;
     params.build_window = 16;
@@ -477,7 +479,6 @@ class NavigationTest : public ::testing::Test {
 
   GraphDatabase db_;
   std::vector<Graph> queries_;
-  std::unique_ptr<Prefilter> prefilter_;
   FingerprintStore store_;
   ProximityGraph graph_;
 };
@@ -539,8 +540,7 @@ TEST_F(NavigationTest, MatchesReferenceBeamSearchExactly) {
   // All-tied corpus: every distance is 0, so only the id tie-break orders
   // the search.
   GraphDatabase db = IdenticalCorpus(16);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(db);
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
@@ -558,8 +558,7 @@ TEST_F(NavigationTest, AllTiedDistancesTerminate) {
   // Identical-fingerprint corpus: every candidate ties at distance 0 from a
   // matching query. Termination rests purely on the id tie-break.
   GraphDatabase db = IdenticalCorpus(16);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(db);
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
@@ -581,9 +580,7 @@ TEST_F(NavigationTest, AllTiedDistancesTerminate) {
 
 TEST(AnnContextTest, BuildOwnsAValidGraph) {
   GraphDatabase db = IdenticalCorpus(6);
-  const Prefilter prefilter(&db);
-  Result<AnnContext> ctx = AnnContext::Build(
-      FingerprintStore::FromPrefilter(prefilter), AnnBuildParams());
+  Result<AnnContext> ctx = AnnContext::Build(StoreOf(db), AnnBuildParams());
   ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
   EXPECT_EQ(ctx->store().size(), 6u);
   EXPECT_EQ(ctx->owned_graph().num_nodes(), 6u);
@@ -593,17 +590,11 @@ TEST(AnnContextTest, BuildOwnsAValidGraph) {
 TEST(AnnContextTest, AdoptRejectsNodeCountMismatch) {
   GraphDatabase small = IdenticalCorpus(4);
   GraphDatabase big = IdenticalCorpus(7);
-  const Prefilter small_pf(&small);
-  const Prefilter big_pf(&big);
-  Result<ProximityGraph> graph = BuildProximityGraph(
-      FingerprintStore::FromPrefilter(small_pf), AnnBuildParams());
+  Result<ProximityGraph> graph =
+      BuildProximityGraph(StoreOf(small), AnnBuildParams());
   ASSERT_TRUE(graph.ok());
-  EXPECT_FALSE(AnnContext::Adopt(FingerprintStore::FromPrefilter(big_pf),
-                                 graph->ref())
-                   .ok());
-  EXPECT_TRUE(AnnContext::Adopt(FingerprintStore::FromPrefilter(small_pf),
-                                graph->ref())
-                  .ok());
+  EXPECT_FALSE(AnnContext::Adopt(StoreOf(big), graph->ref()).ok());
+  EXPECT_TRUE(AnnContext::Adopt(StoreOf(small), graph->ref()).ok());
 }
 
 }  // namespace

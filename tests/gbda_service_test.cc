@@ -392,6 +392,43 @@ TEST_F(GbdaServiceTest, TauZeroServesExactBranchDuplicatesOnly) {
   }
 }
 
+TEST_F(GbdaServiceTest, FrozenServiceServesOneGenerationZeroSnapshot) {
+  // A frozen corpus is a snapshot that never changes: generation 0 over
+  // the whole database, reported identically by the batch handoff and by
+  // snapshot_info(), and still bit-identical to the serial engine.
+  auto created =
+      GbdaService::Create(&dataset_->db, index_, ServiceOptions{2, 3, {}});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  GbdaService& service = **created;
+  SearchOptions opts;
+  opts.tau_hat = 5;
+  SnapshotInfo served;
+  served.generation = 99;  // must be overwritten
+  Result<std::vector<SearchResult>> batch =
+      service.QueryTopKBatch(dataset_->queries, 4, opts, &served);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(served.generation, 0u);
+  EXPECT_EQ(served.num_live, dataset_->db.size());
+  EXPECT_EQ(served.gbd_staleness, 0u);
+  const SnapshotInfo info = service.snapshot_info();
+  EXPECT_EQ(info.generation, served.generation);
+  EXPECT_EQ(info.num_live, served.num_live);
+  EXPECT_EQ(info.gbd_staleness, served.gbd_staleness);
+  EXPECT_EQ(service.num_live(), dataset_->db.size());
+  for (size_t q = 0; q < dataset_->queries.size(); ++q) {
+    Result<SearchResult> serial =
+        serial_->QueryTopK(dataset_->queries[q], 4, opts);
+    ASSERT_TRUE(serial.ok());
+    ExpectSameResult(*serial, (*batch)[q], "query " + std::to_string(q));
+  }
+  // k == 0 is still attributed to the one snapshot.
+  served = SnapshotInfo();
+  served.generation = 99;
+  ASSERT_TRUE(service.QueryTopKBatch(dataset_->queries, 0, opts, &served).ok());
+  EXPECT_EQ(served.generation, 0u);
+  EXPECT_EQ(served.num_live, dataset_->db.size());
+}
+
 TEST_F(GbdaServiceTest, RejectsTauBeyondIndex) {
   GbdaService service(&dataset_->db, index_, ServiceOptions{2, 2, {}});
   SearchOptions opts;

@@ -6,12 +6,14 @@
 // patterns and the deterministic scan counters. Protocol robustness rides
 // along: malformed payloads answer kInvalidRequest and keep the connection,
 // framing violations close it, mutations on a frozen backend answer
-// kUnsupported.
+// kUnsupported. One more input rides on the same corpus: a dynamic backend,
+// whose queries and mutations must both go through the one service.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "core/gbda_index.h"
 #include "datagen/dataset_profiles.h"
 #include "net/client.h"
+#include "service/dynamic_service.h"
 #include "service/gbda_service.h"
 
 namespace gbda::net {
@@ -393,6 +396,84 @@ TEST_F(ServerdTest, FrozenBackendReportsGenerationZero) {
   Result<TopKResponse> wire = client.QueryTopK(MakeRequest(0, 3, BaseOptions()));
   ASSERT_TRUE(wire.ok());
   EXPECT_EQ(wire->generation, 0u);
+}
+
+TEST_F(ServerdTest, DynamicBackendRoutesQueriesAndMutationsThroughOneService) {
+  GbdaIndexOptions index_options;
+  index_options.tau_max = 10;
+  index_options.gbd_prior.num_sample_pairs = 500;
+  GraphDatabase db;
+  db.vertex_labels() = dataset_->db.vertex_labels();
+  db.edge_labels() = dataset_->db.edge_labels();
+  for (size_t i = 0; i < dataset_->db.size(); ++i) {
+    db.Add(dataset_->db.graph(i));
+  }
+  DynamicServiceOptions options;
+  options.service.num_threads = 2;
+  Result<std::unique_ptr<DynamicGbdaService>> created =
+      DynamicGbdaService::Create(std::move(db), index_options, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DynamicGbdaService* dynamic = created->get();
+  GbdaService* core = dynamic;  // the query path the server calls
+
+  ServerConfig config;
+  config.max_batch = 4;
+  Result<std::unique_ptr<GbdaServer>> server =
+      GbdaServer::Serve(dynamic, config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<GbdaClient> client =
+      GbdaClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const TopKRequest request = MakeRequest(1, 5, BaseOptions());
+  Result<TopKResponse> first = client->QueryTopK(request);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->generation, 1u);
+  Result<SearchResult> local = core->QueryTopK(request.query, 5, BaseOptions());
+  ASSERT_TRUE(local.ok());
+  ExpectBitIdentical(*first, *local, "generation 1");
+
+  // A wire mutation commits through the same object and the next query is
+  // served against the snapshot it published.
+  MutateRequest add;
+  add.request_id = 7;
+  add.op = MutationOp::kAddGraphs;
+  add.graphs.push_back(request.query);
+  Result<MutateResponse> added = client->Mutate(add);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  ASSERT_EQ(added->status, WireStatus::kOk) << added->message;
+  EXPECT_EQ(added->generation, 2u);
+  ASSERT_EQ(added->assigned_ids.size(), 1u);
+  EXPECT_EQ(added->assigned_ids[0], dataset_->db.size());
+  EXPECT_EQ(core->snapshot_info().num_live, dataset_->db.size() + 1);
+
+  Result<TopKResponse> second = client->QueryTopK(request);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->generation, 2u);
+  local = core->QueryTopK(request.query, 5, BaseOptions());
+  ASSERT_TRUE(local.ok());
+  ExpectBitIdentical(*second, *local, "generation 2");
+  EXPECT_TRUE(std::any_of(
+      second->matches.begin(), second->matches.end(),
+      [](const SearchMatch& m) { return m.graph_id == dataset_->db.size(); }))
+      << "the added exact copy of the query must rank in its top 5";
+
+  // Served through the query-only overload, the same service answers
+  // queries but refuses mutations.
+  Result<std::unique_ptr<GbdaServer>> query_only =
+      GbdaServer::Serve(core, config);
+  ASSERT_TRUE(query_only.ok()) << query_only.status().ToString();
+  Result<GbdaClient> reader =
+      GbdaClient::Connect("127.0.0.1", (*query_only)->port());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  Result<TopKResponse> third = reader->QueryTopK(request);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(third->generation, 2u);
+  ExpectBitIdentical(*third, *local, "query-only server");
+  Result<MutateResponse> refused = reader->Mutate(add);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status, WireStatus::kUnsupported);
+  EXPECT_EQ(core->snapshot_info().generation, 2u);
 }
 
 }  // namespace

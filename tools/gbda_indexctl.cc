@@ -37,14 +37,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
-#include <system_error>
 
 #include "ann/proximity_graph.h"
+#include "common/string_util.h"
 #include "core/gbda_index.h"
 #include "graph/graph_io.h"
 #include "storage/index_arena.h"
@@ -75,15 +74,6 @@ bool FlagValue(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   *value = arg + len + 1;
   return true;
-}
-
-/// Strict numeric parsing: the whole string must be one in-range number of
-/// type T (no sign for unsigned types, no trailing characters).
-template <typename T>
-bool ParseNumber(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const std::from_chars_result r = std::from_chars(text.data(), end, *out);
-  return r.ec == std::errc() && r.ptr == end;
 }
 
 int Fail(const Status& status) {

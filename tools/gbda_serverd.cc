@@ -15,6 +15,10 @@
 //                [--trace=0|1] [--trace-sample=N] [--slow-query-ms=N]
 //                [--duration=SECONDS]            # 0 = run until signalled
 //
+// Every numeric flag must be one whole, in-range number of its type; a
+// malformed value (--port=70000, --threads=4x, --scale=x) prints the usage
+// and exits 2 before anything is built or bound.
+//
 // --approximate=1 warms the backend's proximity graph at startup so the
 // first options.approximate query does not pay the build; approximate
 // requests are still opt-in per query through the wire SearchOptions.
@@ -26,16 +30,17 @@
 // latency summaries included.
 //
 // --metrics-port=N starts the HTTP scrape endpoint of src/obs/exporter.h on
-// that port (0 = ephemeral, read back via --metrics-port-file): GET /metrics
-// answers Prometheus text exposition, /metrics.json the same snapshot as
-// JSON. The server's and backend's counters are published into the global
-// registry only here — library users stay unregistered. --trace/--trace-
-// sample/--slow-query-ms override the GBDA_TRACE / GBDA_TRACE_SAMPLE /
-// GBDA_SLOW_QUERY_MS environment knobs (see src/obs/trace.h).
+// that port (0 = ephemeral, read back via --metrics-port-file; -1, the
+// default, starts none; anything outside -1..65535 is a usage error):
+// GET /metrics answers Prometheus text exposition, /metrics.json the same
+// snapshot as JSON. The server's and backend's counters are published into
+// the global registry only here — library users stay unregistered.
+// --trace/--trace-sample/--slow-query-ms override the GBDA_TRACE /
+// GBDA_TRACE_SAMPLE / GBDA_SLOW_QUERY_MS environment knobs (see
+// src/obs/trace.h).
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <chrono>
 #include <memory>
@@ -43,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/gbda_index.h"
 #include "datagen/dataset_profiles.h"
 #include "graph/graph_io.h"
@@ -194,63 +200,61 @@ int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    bool bad = false;  // a numeric flag that is not one whole, in-range number
     if (FlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (FlagValue(argv[i], "--scale", &v)) {
-      flags.scale = std::strtod(v.c_str(), nullptr);
+      bad = !ParseNumber(v, &flags.scale);
     } else if (FlagValue(argv[i], "--db", &v)) {
       flags.db_path = v;
     } else if (FlagValue(argv[i], "--dynamic", &v)) {
       flags.dynamic = v != "0" && v != "false";
     } else if (FlagValue(argv[i], "--port", &v)) {
-      flags.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.port);
     } else if (FlagValue(argv[i], "--port-file", &v)) {
       flags.port_file = v;
     } else if (FlagValue(argv[i], "--bind", &v)) {
       flags.bind = v;
     } else if (FlagValue(argv[i], "--tau-max", &v)) {
-      flags.tau_max = std::strtoll(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &flags.tau_max);
     } else if (FlagValue(argv[i], "--pairs", &v)) {
-      flags.sample_pairs =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.sample_pairs);
     } else if (FlagValue(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &flags.seed);
     } else if (FlagValue(argv[i], "--threads", &v)) {
-      flags.threads = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.threads);
     } else if (FlagValue(argv[i], "--shards", &v)) {
-      flags.shards = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.shards);
     } else if (FlagValue(argv[i], "--workers", &v)) {
-      flags.server.num_workers =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.server.num_workers);
     } else if (FlagValue(argv[i], "--max-batch", &v)) {
-      flags.server.max_batch =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.server.max_batch);
     } else if (FlagValue(argv[i], "--max-linger-micros", &v)) {
-      flags.server.max_linger_micros = std::strtoull(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &flags.server.max_linger_micros);
     } else if (FlagValue(argv[i], "--max-queue", &v)) {
-      flags.server.max_queue =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.server.max_queue);
     } else if (FlagValue(argv[i], "--approximate", &v)) {
       flags.approximate = v != "0" && v != "false";
     } else if (FlagValue(argv[i], "--ann-degree", &v)) {
-      flags.ann_degree =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      bad = !ParseNumber(v, &flags.ann_degree);
     } else if (FlagValue(argv[i], "--metrics-port", &v)) {
-      flags.metrics_port =
-          static_cast<int32_t>(std::strtol(v.c_str(), nullptr, 10));
+      // -1 (the default) disables the endpoint; 0 asks for an ephemeral port.
+      bad = !ParseNumber(v, &flags.metrics_port) ||
+            flags.metrics_port < -1 || flags.metrics_port > 65535;
     } else if (FlagValue(argv[i], "--metrics-port-file", &v)) {
       flags.metrics_port_file = v;
     } else if (FlagValue(argv[i], "--trace", &v)) {
       flags.trace = (v != "0" && v != "false") ? 1 : 0;
     } else if (FlagValue(argv[i], "--trace-sample", &v)) {
-      flags.trace_sample = std::strtoll(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &flags.trace_sample);
     } else if (FlagValue(argv[i], "--slow-query-ms", &v)) {
-      flags.slow_query_ms = std::strtoll(v.c_str(), nullptr, 10);
+      bad = !ParseNumber(v, &flags.slow_query_ms);
     } else if (FlagValue(argv[i], "--duration", &v)) {
-      flags.duration = std::strtod(v.c_str(), nullptr);
+      bad = !ParseNumber(v, &flags.duration);
     } else {
-      return Usage();
+      bad = true;
     }
+    if (bad) return Usage();
   }
 
   // Tracing knobs: flags override the GBDA_TRACE / GBDA_TRACE_SAMPLE /
@@ -302,27 +306,20 @@ int main(int argc, char** argv) {
   }
 
   // ---- Offline stage + backend + server ----------------------------------
-  // Frozen path keeps index + service alive for the server lifetime.
+  // The frozen path keeps its index alive for the server lifetime. Both
+  // backends serve queries through the one GbdaService; only a dynamic one
+  // also takes mutations.
   std::unique_ptr<GbdaIndex> index;
-  std::unique_ptr<GbdaService> frozen;
-  std::unique_ptr<DynamicGbdaService> dynamic;
-  std::unique_ptr<net::GbdaServer> server;
+  std::unique_ptr<GbdaService> service;
+  DynamicGbdaService* dynamic = nullptr;
   if (flags.dynamic) {
     DynamicServiceOptions dyn_options;
     dyn_options.service = service_options;
     Result<std::unique_ptr<DynamicGbdaService>> created =
         DynamicGbdaService::Create(std::move(db), index_options, dyn_options);
     if (!created.ok()) return Fail(created.status());
-    dynamic = std::move(*created);
-    if (flags.approximate) {
-      Status warmed = dynamic->WarmAnnGraph();
-      if (!warmed.ok()) return Fail(warmed);
-      std::fprintf(stderr, "gbda_serverd: proximity graph warmed\n");
-    }
-    Result<std::unique_ptr<net::GbdaServer>> started =
-        net::GbdaServer::Serve(dynamic.get(), flags.server);
-    if (!started.ok()) return Fail(started.status());
-    server = std::move(*started);
+    dynamic = created->get();
+    service = std::move(*created);
   } else {
     Result<GbdaIndex> built = GbdaIndex::Build(db, index_options);
     if (!built.ok()) return Fail(built.status());
@@ -330,21 +327,22 @@ int main(int argc, char** argv) {
     Result<std::unique_ptr<GbdaService>> created =
         GbdaService::Create(&db, index.get(), service_options);
     if (!created.ok()) return Fail(created.status());
-    frozen = std::move(*created);
-    if (flags.approximate) {
-      Status warmed = frozen->WarmAnnGraph();
-      if (!warmed.ok()) return Fail(warmed);
-      std::fprintf(stderr, "gbda_serverd: proximity graph warmed\n");
-    }
-    Result<std::unique_ptr<net::GbdaServer>> started =
-        net::GbdaServer::Serve(frozen.get(), flags.server);
-    if (!started.ok()) return Fail(started.status());
-    server = std::move(*started);
+    service = std::move(*created);
   }
+  if (flags.approximate) {
+    Status warmed = service->WarmAnnGraph();
+    if (!warmed.ok()) return Fail(warmed);
+    std::fprintf(stderr, "gbda_serverd: proximity graph warmed\n");
+  }
+  Result<std::unique_ptr<net::GbdaServer>> started =
+      dynamic != nullptr ? net::GbdaServer::Serve(dynamic, flags.server)
+                         : net::GbdaServer::Serve(service.get(), flags.server);
+  if (!started.ok()) return Fail(started.status());
+  std::unique_ptr<net::GbdaServer> server = std::move(*started);
 
+  const char* backend = flags.dynamic ? "dynamic" : "frozen";
   std::fprintf(stderr, "gbda_serverd: listening on %s:%u (%s backend)\n",
-               flags.bind.c_str(), server->port(),
-               flags.dynamic ? "dynamic" : "frozen");
+               flags.bind.c_str(), server->port(), backend);
   if (!flags.port_file.empty()) {
     Status wrote = WritePortFile(flags.port_file, server->port());
     if (!wrote.ok()) return Fail(wrote);
@@ -359,15 +357,12 @@ int main(int argc, char** argv) {
       [srv = server.get()](std::vector<obs::MetricFamily>* out) {
         srv->CollectMetrics("", out);
       });
+  const std::string service_labels = std::string("backend=\"") + backend + "\"";
   obs::CollectorHandle service_collector(
       &obs::MetricsRegistry::Global(),
-      [frozen_ptr = frozen.get(),
-       dynamic_ptr = dynamic.get()](std::vector<obs::MetricFamily>* out) {
-        if (dynamic_ptr != nullptr) {
-          dynamic_ptr->CollectMetrics("backend=\"dynamic\"", out);
-        } else {
-          frozen_ptr->CollectMetrics("backend=\"frozen\"", out);
-        }
+      [svc = service.get(),
+       labels = service_labels](std::vector<obs::MetricFamily>* out) {
+        svc->CollectMetrics(labels, out);
       });
   std::unique_ptr<obs::MetricsExporter> exporter;
   if (flags.metrics_port >= 0) {
