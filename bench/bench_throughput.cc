@@ -3,8 +3,9 @@
 // database and emits one machine-readable JSON object on stdout: per-config
 // wall time, QPS, mean latency, counters, and speedups vs the single-thread
 // config and the serial GbdaSearch loop. Before sweeping, the first config's
-// results are checked bit-identical against the serial engine so the numbers
-// can never come from a diverging concurrent path.
+// results (gamma cut armed) are checked bit-identical against the exhaustive
+// serial scan, so the numbers can never come from a diverging concurrent
+// path or a result-changing cut.
 //
 // --top-k=N switches to the pruned-vs-exhaustive ranking sweep
 // (docs/BENCHMARKS.md, "Pruned top-k sweep"): every config runs QueryTopKBatch
@@ -18,6 +19,8 @@
 //   bench_throughput                                   # default sweep
 //   bench_throughput --threads=1,4 --batches=8         # acceptance check
 //   bench_throughput --threads=2 --batches=4 --queries=8 --scale=0.03  # CI
+//   bench_throughput --threads=2 --shards=4 --gamma=0.9 --scale=0.05
+//                                                      # CI gamma-cut gate
 //   bench_throughput --threads=2 --top-k=10            # CI pruning gate
 
 #include <cstdio>
@@ -233,13 +236,28 @@ int main(int argc, char** argv) {
   search_options.kernel_dispatch = flags.kernels.front();
 
   // ---- Kernel-dispatch sweep (docs/BENCHMARKS.md, "Kernel sweep") ----
-  // With several --kernels entries, run the serial scan once per mode and
-  // gate every mode bit-identical against the first before reporting its
-  // wall — a reported scalar-vs-AVX2 delta can never come from diverging
-  // results. Emitted later as the "kernel_sweep" array of the JSON object.
+  // With several --kernels entries, run the serial pruned scan once per
+  // mode and gate every mode bit-identical against the first before
+  // reporting its wall — a reported scalar-vs-AVX2 delta can never come
+  // from diverging results. The first mode is in turn gated against the
+  // exhaustive serial scan once that exists (kernel_reference_matches).
+  // Emitted later as the "kernel_sweep" array of the JSON object.
   std::string kernel_sweep_json;
+  std::vector<SearchResult> reference;
+  const auto kernel_reference_matches =
+      [&](const std::vector<SearchResult>& exhaustive) {
+        for (size_t i = 0; i < reference.size(); ++i) {
+          if (!SameMatches(exhaustive[i], reference[i])) {
+            std::fprintf(stderr,
+                         "KERNEL EQUIVALENCE FAILURE: dispatch %s diverges "
+                         "from the exhaustive serial scan on query %zu\n",
+                         DispatchName(flags.kernels[0]), i);
+            return false;
+          }
+        }
+        return true;
+      };
   if (flags.kernels.size() > 1) {
-    std::vector<SearchResult> reference;
     for (size_t m = 0; m < flags.kernels.size(); ++m) {
       SearchOptions opts = search_options;
       opts.kernel_dispatch = flags.kernels[m];
@@ -319,6 +337,7 @@ int main(int argc, char** argv) {
       }
       serial_wall = timer.Seconds();
     }
+    if (!kernel_reference_matches(serial_results)) return 1;
 
     std::printf("{\n");
     std::printf("  \"bench\": \"bench_throughput\",\n");
@@ -432,8 +451,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Serial reference: one engine, one query at a time — the pre-service
-  // code path, also the source of truth for the equivalence check.
+  // Serial reference: one engine, one query at a time, with the gamma cut
+  // off — the exhaustive scan is the source of truth for the equivalence
+  // check, so a cut that changed an answer could not pass it.
+  SearchOptions exhaustive_options = search_options;
+  exhaustive_options.topk_early_termination = false;
   std::vector<SearchResult> serial_results;
   serial_results.reserve(queries.size());
   double serial_wall;
@@ -441,7 +463,7 @@ int main(int argc, char** argv) {
     GbdaSearch serial(&dataset->db, &*index);
     WallTimer timer;
     for (const Graph& query : queries) {
-      Result<SearchResult> r = serial.Query(query, search_options);
+      Result<SearchResult> r = serial.Query(query, exhaustive_options);
       if (!r.ok()) {
         std::fprintf(stderr, "serial query: %s\n", r.status().ToString().c_str());
         return 1;
@@ -450,9 +472,11 @@ int main(int argc, char** argv) {
     }
     serial_wall = timer.Seconds();
   }
+  if (!kernel_reference_matches(serial_results)) return 1;
 
-  // Equivalence gate: the first sweep config must reproduce the serial
-  // results bit-identically before any throughput number is reported.
+  // Equivalence gate: the first sweep config (gamma cut armed) must
+  // reproduce the exhaustive serial results bit-identically before any
+  // throughput number is reported.
   {
     ServiceOptions service_options;
     service_options.num_threads = flags.threads.front();
@@ -469,7 +493,7 @@ int main(int argc, char** argv) {
       if (!SameMatches(serial_results[i], (*batch)[i])) {
         std::fprintf(stderr,
                      "EQUIVALENCE FAILURE: query %zu diverges from the "
-                     "serial scan\n",
+                     "exhaustive serial scan\n",
                      i);
         return 1;
       }
@@ -538,14 +562,15 @@ int main(int argc, char** argv) {
                   "\"batch_size\": %zu, \"wall_seconds\": %.6f, "
                   "\"qps\": %.2f, \"mean_latency_seconds\": %.6f, "
                   "\"candidates_evaluated\": %zu, \"prefiltered_out\": %zu, "
-                  "\"matches_returned\": %zu, "
+                  "\"pruned_by_bound\": %zu, \"matches_returned\": %zu, "
                   "\"speedup_vs_1thread\": %.3f, "
                   "\"speedup_vs_serial\": %.3f}",
                   first_config ? "" : ",\n", threads, service.num_shards(),
                   batch_size, wall,
                   wall > 0 ? static_cast<double>(queries.size()) / wall : 0.0,
                   stats.MeanLatencySeconds(), stats.candidates_evaluated,
-                  stats.prefiltered_out, stats.matches_returned, speedup_1t,
+                  stats.prefiltered_out, stats.pruned_by_bound,
+                  stats.matches_returned, speedup_1t,
                   wall > 0 ? serial_wall / wall : 0.0);
       first_config = false;
     }

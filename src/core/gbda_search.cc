@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -26,6 +27,34 @@ void SortTopK(std::vector<SearchMatch>* matches, size_t k) {
                     matches->begin() + static_cast<ptrdiff_t>(k),
                     matches->end(), SearchMatchRankBefore);
   matches->resize(k);
+}
+
+uint64_t ScanBounds::Pack(double phi, int64_t gbd) {
+  if (!(phi >= 0.0)) return 0;
+  uint64_t bits = 0;
+  if (phi != 0.0) std::memcpy(&bits, &phi, sizeof bits);  // -0.0 packs as +0
+  // Non-negative doubles order like their bit patterns; dropping the low
+  // mantissa bits rounds phi down.
+  const uint64_t phi_hi = bits >> kDroppedPhiBits;
+  // Unsigned, so a (never produced) negative gbd also takes the weakened
+  // path below instead of corrupting the phi bits.
+  const uint64_t g = static_cast<uint64_t>(gbd);
+  if (g <= static_cast<uint64_t>(kMaxPackedGbd)) {
+    return (phi_hi << kGbdBits) | (kGbdMask - g);
+  }
+  // Too large to pack: one truncation step below phi ranks strictly after
+  // the pair whatever the gbd, so the strongest low half stays sound.
+  if (phi_hi == 0) return 0;
+  return ((phi_hi - 1) << kGbdBits) | kGbdMask;
+}
+
+ScanWitness ScanBounds::Unpack(uint64_t key) {
+  if (key == 0) return ScanWitness{};
+  const uint64_t bits = (key >> kGbdBits) << kDroppedPhiBits;
+  ScanWitness w;
+  std::memcpy(&w.phi, &bits, sizeof bits);
+  w.gbd = static_cast<int64_t>(kGbdMask - (key & kGbdMask));
+  return w;
 }
 
 Result<ScanContext> PrepareScan(const Graph& query,
@@ -192,34 +221,27 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // context paired with a different backing than it was prepared against
   // (it can only disable, never wrongly enable).
   const bool fp_exact = ctx.fp_exact && columns.exactness_certified();
-  // Early termination applies only to ranking scans (every candidate is a
-  // match, so the k-th best match is a pruning witness); a threshold scan
-  // must score every surviving candidate. The ctx flag is part of the
-  // guard, so a context prepared with topk_early_termination off always
-  // scans exhaustively.
-  const bool prune = bounds != nullptr && !ctx.apply_gamma &&
-                     bounds->k() > 0 && ctx.options.topk_early_termination;
-  // The k best (phi_score, gbd) pairs appended by THIS call under the
-  // SearchMatchRankBefore order (ids never matter: pruning tests are
-  // strictly-worse only), root = local k-th best. Keeping gbd alongside phi
-  // lets the bound prune through the tie-break too — essential when the
-  // k-th best phi_score is exactly 0 (more ranks requested than candidates
-  // with posterior mass), where a phi-only threshold could never prune.
-  // Only full heaps yield witnesses, so a shard with fewer than k
-  // candidates simply never prunes locally.
-  struct Witness {
-    double phi;
-    int64_t gbd;
-  };
-  // "Ranks before" on (phi desc, gbd asc); priority_queue's root is then
-  // the worst retained witness, i.e. the local k-th best.
-  const auto witness_rank_before = [](const Witness& a, const Witness& b) {
-    if (a.phi != b.phi) return a.phi > b.phi;
-    return a.gbd < b.gbd;
-  };
-  std::priority_queue<Witness, std::vector<Witness>,
-                      decltype(witness_rank_before)>
-      local_topk(witness_rank_before);
+  // Bound pruning (see SearchOptions::topk_early_termination). A threshold
+  // scan's witness is the constant (gamma, +inf gbd): "strictly worse" is
+  // then exactly Phi_ub < gamma, i.e. Step 4 would reject. A ranking scan's
+  // witness is the stronger of the local k-th best and the cross-shard one.
+  // The ctx flag is part of both guards, so a context prepared with
+  // topk_early_termination off always scans exhaustively.
+  const bool rank_prune = bounds != nullptr && !ctx.apply_gamma &&
+                          bounds->k() > 0 && options.topk_early_termination;
+  const bool gamma_prune = ctx.apply_gamma && options.gamma > 0.0 &&
+                           options.topk_early_termination;
+  // The k best (phi_score, gbd) pairs appended by THIS call under
+  // WitnessRankBefore (ids never matter: pruning tests are strictly-worse
+  // only); priority_queue's root is then the worst retained pair, i.e. the
+  // local k-th best. Keeping gbd alongside phi lets the bound prune through
+  // the tie-break too — essential when the k-th best phi_score is exactly 0
+  // (more ranks requested than candidates with posterior mass), where a
+  // phi-only threshold could never prune. Only full heaps yield witnesses,
+  // so a shard with fewer than k candidates never publishes.
+  std::priority_queue<ScanWitness, std::vector<ScanWitness>,
+                      decltype(&WitnessRankBefore)>
+      local_topk(&WitnessRankBefore);
   // Scan-local copies of the per-size Phi suffix-max tables, so the
   // per-candidate bound check never takes an engine mutex round trip (same
   // reasoning as local_phi below). Tables are tiny: min(v, 2 * tau_hat) + 1
@@ -243,9 +265,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // cache is invalidated whenever the witness moves.
   constexpr int64_t kCapUnset = std::numeric_limits<int64_t>::min();
   std::vector<int64_t> tier2_cap;
-  double last_kth_phi = -1.0;
-  int64_t last_kth_gbd = -1;
-  double last_shared = -std::numeric_limits<double>::infinity();
+  ScanWitness last_witness;
   // Only the no-gamma, no-prefilter scan has a known match count (every
   // candidate); under the gamma cut or the prefilter the accepted set is
   // small in real workloads, so a modest reservation avoids the early
@@ -300,9 +320,11 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // ranking stays bit-identical (the same argument that makes the
   // cross-shard witness — stale in exactly the same way — sound).
   // candidates_evaluated / prefiltered_out are stage-A facts and keep
-  // their determinism contract; pruned_by_bound / verified_count move with
-  // the block boundary but were already excluded from the bit-identity
-  // gates (see SearchResult).
+  // their determinism contract; a ranking scan's pruned_by_bound /
+  // verified_count move with the block boundary but were already excluded
+  // from the bit-identity gates (see SearchResult). The gamma witness is
+  // constant, so a threshold scan prunes the same candidates whatever the
+  // blocks or shards.
   //
   // Warm-up schedule: blocks double from 16 to 128. The witness only arms
   // at a block boundary, so a fixed 128 would leave small corpora (or the
@@ -343,14 +365,22 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     const size_t admitted = blk_ids.size();
 
     // -- Stage B: batched bounds under the block-frozen witness ------------
-    bool do_prune = false;
-    bool local_full = false;
-    double shared_phi = -std::numeric_limits<double>::infinity();
-    if (prune) {
-      local_full = local_topk.size() >= bounds->k();
-      shared_phi = bounds->threshold();
-      do_prune = local_full || shared_phi >= 0.0;
+    // The witness of this block: the constant gamma cut, or the stronger
+    // of the local k-th best and the cross-shard witness. Strictly worse
+    // than the stronger one is the OR of strictly worse than either (the
+    // rank order is total), so one comparison covers both.
+    ScanWitness witness;
+    if (gamma_prune) {
+      witness.phi = options.gamma;
+    } else if (rank_prune) {
+      witness = bounds->witness();
+      if (local_topk.size() >= bounds->k() &&
+          WitnessRankBefore(local_topk.top(), witness)) {
+        witness = local_topk.top();
+      }
     }
+    const bool do_prune =
+        witness.phi > -std::numeric_limits<double>::infinity();
     if (do_prune) {
       for (size_t j = 0; j < admitted; ++j) {
         blk_sizes[j] = columns.sizes[blk_ids[j]];
@@ -362,25 +392,18 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                                   static_cast<uint32_t>(query_branches.size()),
                                   blk_lb.data());
       }
-      const double kth_phi = local_full ? local_topk.top().phi : -1.0;
-      const int64_t kth_gbd = local_full ? local_topk.top().gbd : -1;
-      if (kth_phi != last_kth_phi || kth_gbd != last_kth_gbd ||
-          shared_phi != last_shared) {
+      if (witness.phi != last_witness.phi || witness.gbd != last_witness.gbd) {
         std::fill(tier2_cap.begin(), tier2_cap.end(), kCapUnset);
-        last_kth_phi = kth_phi;
-        last_kth_gbd = kth_gbd;
-        last_shared = shared_phi;
+        last_witness = witness;
       }
-      // True when the candidate provably ranks strictly after a witness
-      // of k matches under SearchMatchRankBefore: its best reachable
-      // phi_score is strictly below a witness phi, or ties the local
-      // witness while its gbd can only be strictly larger. Ties in both
-      // must be evaluated — the id tie-break is not bounded.
+      // True when the candidate provably ranks strictly after the witness
+      // under SearchMatchRankBefore: its best reachable phi_score is
+      // strictly below the witness phi, or ties it while its gbd can only
+      // be strictly larger. Ties in both must be evaluated — the id
+      // tie-break is not bounded.
       const auto strictly_worse = [&](double phi_ub, int64_t phi_lb) {
-        if (phi_ub < shared_phi) return true;
-        if (!local_full) return false;
-        const Witness& kth = local_topk.top();
-        return phi_ub < kth.phi || (phi_ub == kth.phi && phi_lb > kth.gbd);
+        return phi_ub < witness.phi ||
+               (phi_ub == witness.phi && phi_lb > witness.gbd);
       };
       for (size_t j = 0; j < admitted; ++j) {
         blk_keep[j] = 1;
@@ -535,24 +558,22 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       }
       if (!ctx.apply_gamma || score >= options.gamma) {
         result->matches.push_back(SearchMatch{id, score, phi});
-        if (prune) {
+        if (rank_prune) {
           // Fold the match into the local top-k and publish the k-th-best
-          // phi whenever the full heap's root improves — one shard's strong
-          // hits then prune the other shards' tails through the shared
-          // bound. (Only phi is shared: a two-field witness would need a
-          // 16-byte atomic to stay tear-free; the local heap keeps the full
-          // (phi, gbd) pair for the tie-break test.) The improved witness
-          // takes effect at the next block boundary.
-          const Witness candidate{score, phi};
+          // pair whenever the full heap's root improves — one shard's
+          // strong hits then prune the other shards' tails through the
+          // shared witness. The improved witness takes effect at the next
+          // block boundary.
+          const ScanWitness candidate{score, phi};
           if (local_topk.size() < bounds->k()) {
             local_topk.push(candidate);
             if (local_topk.size() == bounds->k()) {
-              bounds->Publish(local_topk.top().phi);
+              bounds->Publish(local_topk.top().phi, local_topk.top().gbd);
             }
-          } else if (witness_rank_before(candidate, local_topk.top())) {
+          } else if (WitnessRankBefore(candidate, local_topk.top())) {
             local_topk.pop();
             local_topk.push(candidate);
-            bounds->Publish(local_topk.top().phi);
+            bounds->Publish(local_topk.top().phi, local_topk.top().gbd);
           }
         }
       }

@@ -61,15 +61,18 @@ struct SearchOptions {
   /// provable GED > tau_hat are skipped, so no true match is lost while
   /// spurious accepts of provably-far graphs disappear.
   bool use_prefilter = false;
-  /// Top-k queries only: skip a candidate's branch intersection and
-  /// posterior evaluation when a sound Phi upper bound (a cheap GBD lower
-  /// bound pushed through PosteriorEngine::PhiSuffixMax) is STRICTLY below
-  /// the running k-th-best phi_score. Bit-identical to the exhaustive scan —
-  /// matches, ordering, tie-breaks and the candidates/prefilter counters all
-  /// stay unchanged; only SearchResult::pruned_by_bound (and wall time)
-  /// varies. Set false to force the exhaustive reference scan, e.g. for
-  /// equivalence testing (tests/topk_prune_equivalence_test.cc). Ignored by
-  /// threshold queries, which must score every surviving candidate.
+  /// Bound pruning for both query kinds: skip a candidate's branch
+  /// intersection and posterior evaluation when a sound Phi upper bound (a
+  /// cheap GBD lower bound pushed through PosteriorEngine::PhiSuffixMax)
+  /// proves it cannot be returned — for top-k, it ranks strictly after the
+  /// running k-th-best (phi_score, gbd) witness; for threshold queries
+  /// (gamma > 0), the bound is strictly below gamma. Bit-identical to the
+  /// exhaustive scan — matches, ordering, tie-breaks and the
+  /// candidates/prefilter counters all stay unchanged; only
+  /// SearchResult::pruned_by_bound / verified_count (and wall time) vary.
+  /// Set false to force the exhaustive reference scan of either kind, e.g.
+  /// for equivalence testing (tests/topk_prune_equivalence_test.cc,
+  /// tests/gamma_prune_equivalence_test.cc).
   bool topk_early_termination = true;
   /// Top-k queries only: navigate the proximity graph (src/ann) instead of
   /// scanning every candidate, then verify each visited candidate with the
@@ -126,44 +129,82 @@ void SortTopK(std::vector<SearchMatch>* matches, size_t k);
 /// sentinel by the service layers, so SIZE_MAX never aliases it.
 inline constexpr size_t kScanAllMatches = static_cast<size_t>(-1);
 
+/// A pruning witness: "enough real matches rank at or before (phi, gbd)
+/// under SearchMatchRankBefore". A candidate whose best reachable pair
+/// ranks strictly after it can be skipped. The default value is no witness
+/// (-infinity ranks after every real pair).
+struct ScanWitness {
+  double phi = -std::numeric_limits<double>::infinity();
+  int64_t gbd = std::numeric_limits<int64_t>::max();
+};
+
+/// SearchMatchRankBefore on (phi, gbd) alone: higher phi first, then
+/// smaller gbd.
+inline bool WitnessRankBefore(const ScanWitness& a, const ScanWitness& b) {
+  if (a.phi != b.phi) return a.phi > b.phi;
+  return a.gbd < b.gbd;
+}
+
 /// Shared early-termination state of one top-k scan: one instance per
 /// query, shared by every shard worker scanning that query
 /// (service/parallel_scan.cc), or used alone by the serial scan. Workers
-/// publish "k evaluated matches of this query all have phi_score >= t"
-/// witnesses — the root of a full local heap — and read the best witness
-/// published by ANY worker, so one shard's strong hits prune the other
-/// shards' tails. Relaxed atomics suffice: the published double itself
-/// carries the guarantee (it is monotonically raised via CAS-max and never
-/// orders any other memory), and a stale read only weakens pruning, never
-/// correctness. Pruning compares a sound per-candidate Phi UPPER bound
-/// against the threshold and skips only on STRICTLY-worse, so candidates
-/// tying at the bound are always evaluated and the surviving set always
-/// contains the exact top-k under SearchMatchRankBefore.
+/// publish their local k-th-best (phi_score, gbd) pair — the root of a
+/// full local heap — and read the best pair published by ANY worker, so one
+/// shard's strong hits prune the other shards' tails, through the gbd
+/// tie-break too.
+///
+/// The pair travels as one 64-bit key (Pack) whose unsigned order follows
+/// the rank order: the high bits are phi's IEEE bits with the low
+/// kDroppedPhiBits mantissa bits cut off, the low kGbdBits hold the
+/// inverted gbd. Truncation rounds phi DOWN, so the decoded witness never
+/// ranks ahead of the published pair: it is weaker, never unsound, and
+/// exact whenever phi has no bits in the dropped range (phi = 0 — the
+/// common k-th best once k exceeds the candidates with posterior mass —
+/// always does). A gbd past kMaxPackedGbd is published with phi lowered by
+/// one truncation step instead. Relaxed atomics suffice: the key is raised
+/// by CAS-max and orders no other memory, and a stale read only weakens
+/// pruning. Pruning skips only STRICTLY-worse candidates, so ties at the
+/// bound are always evaluated and the survivors always contain the exact
+/// top-k under SearchMatchRankBefore.
 class ScanBounds {
  public:
+  static constexpr int kGbdBits = 24;
+  static constexpr int kDroppedPhiBits = kGbdBits - 1;
+  static constexpr uint64_t kGbdMask = (uint64_t{1} << kGbdBits) - 1;
+  /// The low half stores kGbdMask - gbd and is never 0, so key 0 can mean
+  /// "no witness".
+  static constexpr int64_t kMaxPackedGbd = static_cast<int64_t>(kGbdMask) - 1;
+
   explicit ScanBounds(size_t k) : k_(k) {}
 
   size_t k() const { return k_; }
 
-  /// The best published k-th-best phi_score; -infinity until some worker
-  /// has seen k matches.
-  double threshold() const {
-    return shared_phi_.load(std::memory_order_relaxed);
+  /// The best published witness, decoded; no witness (ScanWitness{}) until
+  /// some worker has seen k matches.
+  ScanWitness witness() const {
+    return Unpack(key_.load(std::memory_order_relaxed));
   }
 
-  /// Raises the shared threshold to `kth_best_phi` if it improves it.
-  void Publish(double kth_best_phi) {
-    double current = shared_phi_.load(std::memory_order_relaxed);
-    while (kth_best_phi > current &&
-           !shared_phi_.compare_exchange_weak(current, kth_best_phi,
-                                              std::memory_order_relaxed)) {
+  /// Raises the shared witness to the pair (kth_phi, kth_gbd) if its key
+  /// improves the published one.
+  void Publish(double kth_phi, int64_t kth_gbd) {
+    const uint64_t key = Pack(kth_phi, kth_gbd);
+    uint64_t current = key_.load(std::memory_order_relaxed);
+    while (key > current &&
+           !key_.compare_exchange_weak(current, key,
+                                       std::memory_order_relaxed)) {
     }
   }
 
+  /// The packed key of (phi, gbd); 0 (no witness) when phi is NaN or
+  /// negative, or when it cannot be weakened below an oversized gbd.
+  static uint64_t Pack(double phi, int64_t gbd);
+  /// The witness a key stands for; never ranks ahead of the packed pair.
+  static ScanWitness Unpack(uint64_t key);
+
  private:
   size_t k_;
-  std::atomic<double> shared_phi_{
-      -std::numeric_limits<double>::infinity()};
+  std::atomic<uint64_t> key_{0};
 };
 
 /// Outcome of one query.
@@ -177,10 +218,11 @@ struct SearchResult {
   size_t candidates_evaluated = 0;
   /// Candidates removed by the prefilter (0 when it is disabled).
   size_t prefiltered_out = 0;
-  /// Candidates whose branch intersection + posterior evaluation the top-k
-  /// early-termination bound skipped (subset of candidates_evaluated; 0 for
-  /// threshold queries and exhaustive scans). Timing-dependent under
-  /// sharding — the shared threshold tightens in worker order — so it is
+  /// Candidates whose branch intersection + posterior evaluation the bound
+  /// skipped (subset of candidates_evaluated; 0 for exhaustive scans). For
+  /// threshold queries it is a function of the query alone — the gamma
+  /// witness is constant — but for top-k it is timing-dependent under
+  /// sharding (the shared witness tightens in worker order), so it is
   /// excluded from the bit-identity contract.
   size_t pruned_by_bound = 0;
   /// Approximate mode only: candidates the proximity-graph navigation
@@ -290,21 +332,23 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// `posterior` and `result` (the index, prefilter and ctx are only read;
 /// `bounds` is internally synchronized).
 ///
-/// `bounds` non-null enables top-k early termination on a ranking scan
-/// (ctx.apply_gamma == false, bounds->k() >= 1; any other configuration
-/// scans exhaustively): the call keeps a bounded heap of the k best
-/// (phi_score, gbd) pairs it has appended under SearchMatchRankBefore, and
-/// skips a candidate — counting it in pruned_by_bound instead of scoring
-/// it — when the candidate provably ranks strictly after that witness (or
-/// after the cross-shard phi witness in bounds->threshold()). The proof
-/// pushes a GBD lower bound — from the size column (tier 1, O(1)), then
-/// from fingerprint-column intersections (tier 2, capped early-exit
-/// merge) — through
-/// PosteriorEngine::PhiSuffixMax; a tie in the bounded phi falls through
-/// to the gbd tie-break, so pruning stays live even when the k-th best
-/// phi_score is exactly 0. Every skip is provably outside the query's
-/// global top-k, so downstream SortTopK truncation reproduces the
-/// exhaustive ranking bit-identically (see ScanBounds).
+/// Unless ctx.options.topk_early_termination is off, the call skips a
+/// candidate — counting it in pruned_by_bound instead of scoring it — when
+/// it provably cannot be returned:
+///  - threshold scans (ctx.apply_gamma, gamma > 0): its Phi upper bound is
+///    strictly below gamma, so Step 4 would reject it;
+///  - ranking scans with a non-null `bounds` (bounds->k() >= 1): it ranks
+///    strictly after a (phi_score, gbd) witness of k matches — the root of
+///    the call's own heap of the k best pairs it appended, or the best
+///    cross-shard witness in bounds->witness().
+/// The proof pushes a GBD lower bound — from the size column (tier 1,
+/// O(1)), then from fingerprint-column intersections (tier 2, capped
+/// early-exit merge) — through PosteriorEngine::PhiSuffixMax; a tie in the
+/// bounded phi falls through to the gbd tie-break, so ranking pruning stays
+/// live even when the k-th best phi_score is exactly 0. Every skip is
+/// provably outside the answer, so the threshold matches and (after
+/// SortTopK) the ranking are bit-identical to the exhaustive scan (see
+/// ScanBounds).
 Status ScanRange(const ScanContext& ctx, const IndexReader& index,
                  const Prefilter* prefilter, size_t begin, size_t end,
                  PosteriorEngine* posterior, SearchResult* result,
@@ -354,7 +398,9 @@ class GbdaSearch {
   GbdaSearch(const GraphDatabase* db, const IndexReader* index);
 
   /// Runs one similarity query. Fails when options.tau_hat exceeds the
-  /// index's tau_max.
+  /// index's tau_max. Cuts candidates whose Phi upper bound is below gamma
+  /// unless options.topk_early_termination is off — bit-identical either
+  /// way.
   Result<SearchResult> Query(const Graph& query, const SearchOptions& options);
 
   /// Top-k variant: the k database graphs with the highest posterior

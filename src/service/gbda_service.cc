@@ -97,7 +97,7 @@ void ServiceCounters::Collect(const std::string& labels,
                       "Candidates rejected by the layered prefilter", labels,
                       static_cast<double>(prefiltered_out.Value()));
   AppendCounterFamily(out, "gbda_service_pruned_by_bound_total",
-                      "Posterior evaluations skipped by top-k early termination",
+                      "Posterior evaluations skipped by the pruning bound",
                       labels, static_cast<double>(pruned_by_bound.Value()));
   AppendCounterFamily(out, "gbda_service_candidates_visited_total",
                       "Nodes visited by the approximate navigator", labels,

@@ -64,8 +64,9 @@ struct ServiceStats {
   size_t batches_served = 0;  // QueryBatch / QueryTopKBatch calls
   size_t candidates_evaluated = 0;
   size_t prefiltered_out = 0;
-  /// Posterior evaluations skipped by top-k early termination (subset of
-  /// candidates_evaluated; see SearchResult::pruned_by_bound).
+  /// Posterior evaluations skipped by the bound — the top-k witness or the
+  /// threshold gamma cut (subset of candidates_evaluated; see
+  /// SearchResult::pruned_by_bound).
   size_t pruned_by_bound = 0;
   /// Nodes the approximate navigator visited (0 for exhaustive queries) and
   /// candidates that paid the full verification tail. Cost observability,

@@ -52,14 +52,15 @@ struct ParallelScanEnv {
 /// `seconds` is that query's latency from batch submission to its last
 /// shard completing.
 ///
-/// Ranking calls (apply_gamma == false with a real top_k) run with top-k
-/// early termination unless options.topk_early_termination is off: each
-/// query job owns one ScanBounds, shared by that query's shard tasks
-/// through ParallelScanEnv's fan-out, so the k-th-best phi_score witnessed
-/// by any shard prunes the other shards' tails via a relaxed atomic. The
-/// merged output stays bit-identical to the exhaustive scan — only
-/// SearchResult::pruned_by_bound and timing vary (see core/gbda_search.h,
-/// ScanBounds).
+/// Both query kinds prune unless options.topk_early_termination is off.
+/// Threshold calls cut candidates whose Phi upper bound is below gamma in
+/// each shard on its own. Ranking calls (apply_gamma == false with a real
+/// top_k) give each query job one ScanBounds, shared by that query's shard
+/// tasks, so the k-th-best (phi_score, gbd) pair witnessed by any shard
+/// prunes the other shards' tails via a relaxed atomic. The merged output
+/// stays bit-identical to the exhaustive scan — only
+/// SearchResult::pruned_by_bound, verified_count and timing vary (see
+/// core/gbda_search.h, ScanBounds).
 Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
                                                     Span<Graph> queries,
                                                     const SearchOptions& options,

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +29,12 @@
 
 namespace gbda::net {
 namespace {
+
+uint64_t PhiBits(double phi) {
+  uint64_t bits;
+  std::memcpy(&bits, &phi, sizeof bits);
+  return bits;
+}
 
 SearchOptions BaseOptions() {
   SearchOptions options;
@@ -101,19 +109,28 @@ class ServerdTest : public ::testing::Test {
   }
 
   /// The acceptance predicate: a wire response equals the in-process answer
-  /// bit for bit.
+  /// bit for bit on the contract's deterministic set — ids, phi bits, gbd,
+  /// candidates_evaluated, prefiltered_out. pruned_by_bound and
+  /// verified_count depend on shard timing (see SearchResult), so each side
+  /// is only checked to account for every admitted candidate.
   static void ExpectBitIdentical(const TopKResponse& wire,
                                  const SearchResult& local,
                                  const std::string& label) {
     ASSERT_EQ(wire.status, WireStatus::kOk) << label << ": " << wire.message;
     EXPECT_EQ(wire.candidates_evaluated, local.candidates_evaluated) << label;
     EXPECT_EQ(wire.prefiltered_out, local.prefiltered_out) << label;
-    EXPECT_EQ(wire.pruned_by_bound, local.pruned_by_bound) << label;
+    EXPECT_EQ(wire.verified_count + wire.pruned_by_bound,
+              wire.candidates_evaluated)
+        << label;
+    EXPECT_EQ(local.verified_count + local.pruned_by_bound,
+              local.candidates_evaluated)
+        << label;
     ASSERT_EQ(wire.matches.size(), local.matches.size()) << label;
     for (size_t i = 0; i < local.matches.size(); ++i) {
       EXPECT_EQ(wire.matches[i].graph_id, local.matches[i].graph_id)
           << label << " match " << i;
-      EXPECT_EQ(wire.matches[i].phi_score, local.matches[i].phi_score)
+      EXPECT_EQ(PhiBits(wire.matches[i].phi_score),
+                PhiBits(local.matches[i].phi_score))
           << label << " match " << i;
       EXPECT_EQ(wire.matches[i].gbd, local.matches[i].gbd)
           << label << " match " << i;
@@ -195,10 +212,14 @@ TEST_F(ServerdTest, ConcurrentClientsAllServeBitIdenticalResults) {
                     wire->matches.size() == local.matches.size() &&
                     wire->candidates_evaluated == local.candidates_evaluated &&
                     wire->prefiltered_out == local.prefiltered_out &&
-                    wire->pruned_by_bound == local.pruned_by_bound;
+                    wire->verified_count + wire->pruned_by_bound ==
+                        wire->candidates_evaluated &&
+                    local.verified_count + local.pruned_by_bound ==
+                        local.candidates_evaluated;
         for (size_t i = 0; same && i < local.matches.size(); ++i) {
           same = wire->matches[i].graph_id == local.matches[i].graph_id &&
-                 wire->matches[i].phi_score == local.matches[i].phi_score &&
+                 PhiBits(wire->matches[i].phi_score) ==
+                     PhiBits(local.matches[i].phi_score) &&
                  wire->matches[i].gbd == local.matches[i].gbd;
         }
         if (!same) {
