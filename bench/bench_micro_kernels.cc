@@ -118,8 +118,8 @@ BENCHMARK(BM_LsapGedPair)->Range(16, 256)->Complexity();
 // -- Scan kernels (common/kernels.h): scalar vs AVX2 -------------------------
 //
 // Sorted ascending uint64 key arrays with a controlled overlap fraction —
-// the exact shape the tier-2 cut and the fp-exact scoring path feed the
-// kernels. Each benchmark registers once per implementation so `--bench`
+// the exact shape a listed scan's per-candidate counts and the proximity
+// graph's distances feed the kernels. Each benchmark registers once per implementation so `--bench`
 // output shows the two side by side on identical inputs.
 
 std::vector<uint64_t> SortedKeys(size_t n, uint64_t seed) {
@@ -165,31 +165,6 @@ void BM_KernelIntersectCount(benchmark::State& state) {
                           static_cast<int64_t>(2 * n));
 }
 BENCHMARK(BM_KernelIntersectCount)
-    ->ArgsProduct({{64, 512, 4096, 32768},
-                   {static_cast<int64_t>(KernelImpl::kScalar),
-                    static_cast<int64_t>(KernelImpl::kAvx2)}});
-
-void BM_KernelIntersectAtMost(benchmark::State& state) {
-  const KernelImpl impl = static_cast<KernelImpl>(state.range(1));
-  if (impl == KernelImpl::kAvx2 && !CpuSupportsAvx2()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
-  const ScanKernels& kernels = GetScanKernels(impl);
-  state.SetLabel(kernels.name);
-  const size_t n = static_cast<size_t>(state.range(0));
-  const std::vector<uint64_t> a = SortedKeys(n, 23);
-  const std::vector<uint64_t> b = OverlappingKeys(a, 24);
-  // A cap around half the true intersection exercises the early exit the
-  // tier-2 cut lives on.
-  const int64_t cap =
-      kernels.intersect_count(a.data(), a.size(), b.data(), b.size()) / 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels.intersect_at_most(
-        a.data(), a.size(), b.data(), b.size(), cap));
-  }
-}
-BENCHMARK(BM_KernelIntersectAtMost)
     ->ArgsProduct({{64, 512, 4096, 32768},
                    {static_cast<int64_t>(KernelImpl::kScalar),
                     static_cast<int64_t>(KernelImpl::kAvx2)}});

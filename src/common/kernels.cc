@@ -32,28 +32,6 @@ int64_t IntersectCountScalar(const uint64_t* a, size_t na, const uint64_t* b,
   return common;
 }
 
-bool IntersectAtMostScalar(const uint64_t* a, size_t na, const uint64_t* b,
-                           size_t nb, int64_t cap) {
-  if (cap < 0) return false;
-  size_t i = 0, j = 0;
-  int64_t common = 0;
-  while (i < na && j < nb) {
-    // The intersection can still grow by at most min(tails). Both exit
-    // branches fire at most once, so they stay predicted and the loop keeps
-    // the branchless-merge cadence of IntersectCountScalar.
-    const int64_t possible =
-        common + static_cast<int64_t>(std::min(na - i, nb - j));
-    if (possible <= cap) return true;
-    const uint64_t ai = a[i];
-    const uint64_t bj = b[j];
-    common += static_cast<int64_t>(ai == bj);
-    if (common > cap) return false;
-    i += static_cast<size_t>(ai <= bj);
-    j += static_cast<size_t>(bj <= ai);
-  }
-  return common <= cap;
-}
-
 void Tier1SizeBoundsScalar(const uint32_t* sizes, size_t n,
                            uint32_t query_size, uint32_t* out_lb) {
   for (size_t i = 0; i < n; ++i) {
@@ -64,7 +42,6 @@ void Tier1SizeBoundsScalar(const uint32_t* sizes, size_t n,
 
 const ScanKernels kScalarKernels = {
     &IntersectCountScalar,
-    &IntersectAtMostScalar,
     &Tier1SizeBoundsScalar,
     "scalar",
 };

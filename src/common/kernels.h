@@ -5,10 +5,10 @@
 ///
 ///   (a) tier1_size_bounds — the batched tier-1 size bound |q - s_i| over a
 ///       contiguous column of per-candidate branch counts;
-///   (b) intersect_count / intersect_at_most — multiset intersection
-///       counting over two ascending uint64 fingerprint-key arrays, plus
-///       its capped decision form (the tier-2 cut and, when the corpus
-///       certifies collision-freedom, the exact GBD intersection itself).
+///   (b) intersect_count — multiset intersection counting over two
+///       ascending uint64 fingerprint-key arrays (a listed scan's
+///       per-candidate common-branch count, the proximity graph's
+///       distance).
 ///
 /// Two implementations exist behind one table: a scalar reference (the
 /// semantics every other path is gated against) and an AVX2 variant
@@ -75,13 +75,6 @@ struct ScanKernels {
   /// Exactly CommonBranchUpperBound's arithmetic (core/prefilter.h).
   int64_t (*intersect_count)(const uint64_t* a, size_t na, const uint64_t* b,
                              size_t nb);
-  /// Decision form: true iff intersect_count(a, b) <= cap (cap < 0 is
-  /// always false). Early-exits in both directions like
-  /// CommonBranchUpperBoundAtMost; the decision — not the visit order — is
-  /// the contract, so the AVX2 variant may schedule its exits differently
-  /// and still return the identical boolean.
-  bool (*intersect_at_most)(const uint64_t* a, size_t na, const uint64_t* b,
-                            size_t nb, int64_t cap);
   /// Batched tier-1 size bound: out_lb[i] = |query_size - sizes[i]| for
   /// i in [0, n) — the GBD lower bound from multiset sizes alone
   /// (GBD >= max(|B1|,|B2|) - min(|B1|,|B2|)). `out_lb` may not alias

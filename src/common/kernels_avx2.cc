@@ -33,10 +33,7 @@
 /// property, the loop samples its first window decisions and hands the
 /// whole remainder to the branchless scalar merge when fallbacks dominate
 /// — duplicate-light lists get the SIMD win, duplicate-heavy ones degrade
-/// to scalar cadence instead of below it. The early exits of the capped
-/// form are sound under any schedule (they only fire when the final
-/// answer is already decided), so taking them at window granularity
-/// changes nothing observable.
+/// to scalar cadence instead of below it.
 
 #include "common/kernels.h"
 
@@ -132,67 +129,6 @@ int64_t IntersectCountAvx2(const uint64_t* a, size_t na, const uint64_t* b,
   return common;
 }
 
-bool IntersectAtMostAvx2(const uint64_t* a, size_t na, const uint64_t* b,
-                         size_t nb, int64_t cap) {
-  if (cap < 0) return false;
-  size_t i = 0, j = 0;
-  int64_t common = 0;
-  // Same duplicate-density adaptation as IntersectCountAvx2.
-  int trips = 0, hits = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    if (trips >= 4 && trips > hits) break;
-    // Same sound exits as the scalar reference: min(tails) bounds further
-    // growth, and a count past the cap is final either way — both only
-    // fire when `count <= cap` is already decided, so evaluating them once
-    // per window yields the identical decision.
-    const int64_t possible =
-        common + static_cast<int64_t>(std::min(na - i, nb - j));
-    if (possible <= cap) return true;
-    if (common > cap) return false;
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const uint64_t amax = a[i + 3];
-    const uint64_t bmax = b[j + 3];
-    const bool a_adv = amax <= bmax;
-    const bool b_adv = bmax <= amax;
-    bool run = WindowsHaveDuplicates(va, vb);
-    run |= a_adv && i + 4 < na && a[i + 4] == amax;
-    run |= b_adv && j + 4 < nb && b[j + 4] == bmax;
-    if (run) {
-      // Same bounded scalar burst as the uncapped form; the cap exit is
-      // re-evaluated at the head of the loop.
-      ++trips;
-      for (int s = 0; s < 4 && i < na && j < nb; ++s) {
-        const uint64_t ai = a[i];
-        const uint64_t bj = b[j];
-        common += static_cast<int64_t>(ai == bj);
-        i += static_cast<size_t>(ai <= bj);
-        j += static_cast<size_t>(bj <= ai);
-      }
-      if (common > cap) return false;
-      continue;
-    }
-    ++hits;
-    common += __builtin_popcount(WindowMatchMask(va, vb));
-    i += static_cast<size_t>(a_adv) * 4;
-    j += static_cast<size_t>(b_adv) * 4;
-  }
-  while (i < na && j < nb) {
-    const int64_t possible =
-        common + static_cast<int64_t>(std::min(na - i, nb - j));
-    if (possible <= cap) return true;
-    const uint64_t ai = a[i];
-    const uint64_t bj = b[j];
-    common += static_cast<int64_t>(ai == bj);
-    if (common > cap) return false;
-    i += static_cast<size_t>(ai <= bj);
-    j += static_cast<size_t>(bj <= ai);
-  }
-  return common <= cap;
-}
-
 void Tier1SizeBoundsAvx2(const uint32_t* sizes, size_t n, uint32_t query_size,
                          uint32_t* out_lb) {
   const __m256i vq = _mm256_set1_epi32(static_cast<int>(query_size));
@@ -213,7 +149,6 @@ void Tier1SizeBoundsAvx2(const uint32_t* sizes, size_t n, uint32_t query_size,
 
 const ScanKernels kAvx2Kernels = {
     &IntersectCountAvx2,
-    &IntersectAtMostAvx2,
     &Tier1SizeBoundsAvx2,
     "avx2",
 };

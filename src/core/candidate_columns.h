@@ -36,10 +36,14 @@ struct OwnedCandidateColumns {
   std::vector<uint32_t> sizes;       // [num_graphs]
   std::vector<uint64_t> fp_offsets;  // [num_graphs + 1], == branch_start
   std::vector<uint64_t> fp_keys;     // per-graph ascending, packed
-  /// Collision directory (empty vectors when `certified` is false): the
-  /// ascending distinct fingerprints and, parallel to them, one
-  /// representative branch each, packed (graph_id << 32 | branch_index).
+  /// The ascending distinct fingerprints and their inverted postings
+  /// ([num_distinct + 1] offsets, [total branches] ids).
   std::vector<uint64_t> fp_unique;
+  std::vector<uint64_t> posting_offsets;
+  std::vector<uint32_t> posting_ids;
+  /// Collision directory (empty when `certified` is false): parallel to
+  /// fp_unique, one representative branch each, packed
+  /// (graph_id << 32 | branch_index).
   std::vector<uint64_t> fp_rep;
   /// True when the fingerprint -> branch-content mapping is injective over
   /// the whole corpus (see CandidateColumns::exactness_certified).
@@ -50,22 +54,35 @@ struct OwnedCandidateColumns {
     c.sizes = sizes.data();
     c.fp_offsets = fp_offsets.data();
     c.fp_keys = fp_keys.data();
-    if (certified) {
-      c.fp_unique = fp_unique.data();
-      c.fp_rep = fp_rep.data();
-      c.num_distinct = fp_unique.size();
-    }
+    c.fp_unique = fp_unique.data();
+    c.num_distinct = fp_unique.size();
+    c.posting_offsets = posting_offsets.data();
+    c.posting_ids = posting_ids.data();
+    if (certified) c.fp_rep = fp_rep.data();
     return c;
   }
 };
 
 /// Materialises the columns from any IndexReader's branch data: per-graph
-/// branch counts, per-graph sorted FNV branch fingerprints, and — when the
-/// corpus-wide fingerprint -> content audit finds no collision — the
-/// exactness directory. O(total branches) plus one hash probe per branch;
-/// deterministic in the branch data alone. Tombstoned slots contribute
-/// empty columns (their branch_set() is empty), matching how the scan
-/// already treats them.
+/// branch counts, per-graph sorted FNV branch fingerprints, the distinct
+/// keys with their postings (a counting sort inside the one hash pass), and
+/// — when the corpus-wide fingerprint -> content audit finds no collision —
+/// the exactness directory. O(total branches) plus one hash probe per
+/// branch; deterministic in the branch data alone. Tombstoned slots
+/// contribute empty columns (their branch_set() is empty), matching how the
+/// scan already treats them.
 OwnedCandidateColumns BuildCandidateColumns(const IndexReader& index);
+
+/// The common-branch counts of one query against a contiguous id range,
+/// from the postings: counts[g - begin] = intersect_count(query_keys,
+/// fp_keys(g)) for every g in [begin, end), overwriting counts[0, end -
+/// begin). `query_keys` is ascending with duplicates (ScanContext::
+/// query_fps). One walk per distinct query key over its posting list,
+/// from the first id >= begin to the first id >= end, adding
+/// min(query multiplicity, run) per graph — so a whole shard costs one pass
+/// instead of one merge per candidate.
+void CountCommonBranches(const CandidateColumns& columns,
+                         const uint64_t* query_keys, size_t num_query_keys,
+                         size_t begin, size_t end, uint32_t* counts);
 
 }  // namespace gbda

@@ -182,12 +182,33 @@ namespace {
 /// [begin, begin + count) range (ScanRange) and an explicit candidate list
 /// (ScanCandidateList, the verification half of approximate mode). Both are
 /// trivial index adapters so the loop below compiles to the same code the
-/// plain range scan had.
+/// plain range scan had. Each also supplies the candidates' fingerprint
+/// common-branch counts — intersect_count(query_fps, fp_keys(id)), the one
+/// number tier 2 and the fp-exact scoring need — in the way that suits its
+/// shape.
 struct ContiguousIds {
   size_t begin;
   size_t count;
   size_t size() const { return count; }
   size_t operator[](size_t i) const { return begin + i; }
+
+  /// A whole range pays one postings pass (CountCommonBranches) into a
+  /// per-worker scratch array; a count is then one load.
+  struct Counts {
+    const uint32_t* slots;
+    size_t begin;
+    int64_t operator()(size_t id) const { return slots[id - begin]; }
+  };
+  Counts CommonCounts(const ScanContext& ctx, const CandidateColumns& columns,
+                      const ScanKernels& /*kernels*/) const {
+    // Overwritten by this thread's next range scan; safe because no scan
+    // runs nested inside another on one thread.
+    thread_local std::vector<uint32_t> scratch;
+    scratch.resize(count);
+    CountCommonBranches(columns, ctx.query_fps.data(), ctx.query_fps.size(),
+                        begin, begin + count, scratch.data());
+    return Counts{scratch.data(), begin};
+  }
 };
 
 struct ListedIds {
@@ -195,6 +216,26 @@ struct ListedIds {
   size_t count;
   size_t size() const { return count; }
   size_t operator[](size_t i) const { return ids[i]; }
+
+  /// A short list (about a navigation window) merges per candidate: a
+  /// postings pass would walk the whole corpus's lists for a few ids.
+  struct Counts {
+    const uint64_t* query_keys;
+    size_t num_query_keys;
+    CandidateColumns columns;
+    const ScanKernels* kernels;
+    int64_t operator()(size_t id) const {
+      const uint64_t lo = columns.fp_offsets[id];
+      return kernels->intersect_count(
+          query_keys, num_query_keys, columns.fp_keys + lo,
+          static_cast<size_t>(columns.fp_offsets[id + 1] - lo));
+    }
+  };
+  Counts CommonCounts(const ScanContext& ctx, const CandidateColumns& columns,
+                      const ScanKernels& kernels) const {
+    return Counts{ctx.query_fps.data(), ctx.query_fps.size(), columns,
+                  &kernels};
+  }
 };
 
 /// One evaluation loop for both entry points: candidate admission, the
@@ -258,14 +299,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   std::vector<int64_t> tier1_lb;
   std::vector<double> tier1_ub;
   std::vector<const std::vector<double>*> table_by_size;
-  // Tier-2 cut per size: the largest common-branch count that still proves
-  // "strictly worse" (kCapUnset = not yet derived, -1 = nothing provable).
-  // Valid only for the witness it was derived from; witnesses only improve
-  // (tighten), so a stale cap is sound — it merely prunes less — and the
-  // cache is invalidated whenever the witness moves.
-  constexpr int64_t kCapUnset = std::numeric_limits<int64_t>::min();
-  std::vector<int64_t> tier2_cap;
-  ScanWitness last_witness;
   // Only the no-gamma, no-prefilter scan has a known match count (every
   // candidate); under the gamma cut or the prefilter the accepted set is
   // small in real workloads, so a modest reservation avoids the early
@@ -302,15 +335,22 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     }
     return max_size - common_ub;
   };
-  // Candidate-side sorted fingerprint keys for the tier-2 cut, read from
-  // the column blob (zero pointer chases), so tier 2 is live on every scan.
-  const auto candidate_fps = [&](size_t id, size_t* n) -> const uint64_t* {
-    const uint64_t lo = columns.fp_offsets[id];
-    *n = static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
-    return columns.fp_keys + lo;
+  // The Phi upper bound at a phi lower bound: past Phi's support it is an
+  // exact zero.
+  const auto phi_upper = [](const std::vector<double>& suffix_max,
+                            int64_t phi_lb) {
+    return static_cast<size_t>(phi_lb) < suffix_max.size()
+               ? suffix_max[static_cast<size_t>(phi_lb)]
+               : 0.0;
   };
-  const uint64_t* query_keys = ctx.query_fps.data();
-  const size_t query_keys_n = ctx.query_fps.size();
+  // The candidates' fingerprint common-branch counts: an upper bound on the
+  // common BRANCH count (collisions only overcount), and the exact count on
+  // an fp_exact scan. Read by tier 2 and by fp-exact scoring, so an
+  // exhaustive scan that scores by branch merges skips the range pass.
+  typename IdSeq::Counts common_of{};
+  if (rank_prune || gamma_prune || fp_exact) {
+    common_of = id_seq.CommonCounts(ctx, columns, kernels);
+  }
 
   // The scan runs in blocks: admission (stage A), then one batched bound
   // evaluation against the block-frozen witness state (stage B), then
@@ -339,6 +379,14 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   std::vector<uint32_t> blk_sizes(kScanBlockMax);
   std::vector<uint32_t> blk_lb(kScanBlockMax);
   std::vector<char> blk_keep(kScanBlockMax);
+  // Each admitted candidate's count, read at most once per candidate (-1 =
+  // not read yet): a listed scan then merges a tier-2 survivor once, not
+  // again when it is scored.
+  std::vector<int64_t> blk_common(kScanBlockMax);
+  const auto common_at = [&](size_t j) {
+    if (blk_common[j] < 0) blk_common[j] = common_of(blk_ids[j]);
+    return blk_common[j];
+  };
 
   size_t block_size = 16;
   for (size_t base = 0; base < range;
@@ -359,6 +407,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       // counter stays bit-identical to the exhaustive scan (see
       // SearchResult).
       ++result->candidates_evaluated;
+      blk_common[blk_ids.size()] = -1;
       blk_ids.push_back(id);
     }
     if (blk_ids.empty()) continue;
@@ -392,10 +441,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                                   static_cast<uint32_t>(query_branches.size()),
                                   blk_lb.data());
       }
-      if (witness.phi != last_witness.phi || witness.gbd != last_witness.gbd) {
-        std::fill(tier2_cap.begin(), tier2_cap.end(), kCapUnset);
-        last_witness = witness;
-      }
       // True when the candidate provably ranks strictly after the witness
       // under SearchMatchRankBefore: its best reachable phi_score is
       // strictly below the witness phi, or ties it while its gbd can only
@@ -407,7 +452,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       };
       for (size_t j = 0; j < admitted; ++j) {
         blk_keep[j] = 1;
-        const size_t id = blk_ids[j];
         const size_t g_size = blk_sizes[j];
         const int64_t max_size =
             static_cast<int64_t>(std::max(query_branches.size(), g_size));
@@ -415,7 +459,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
           tier1_lb.resize(g_size + 1, -1);
           tier1_ub.resize(g_size + 1, 0.0);
           table_by_size.resize(g_size + 1, nullptr);
-          tier2_cap.resize(g_size + 1, kCapUnset);
         }
         if (tier1_lb[g_size] < 0) {
           // First candidate of this size: v is exact from sizes alone.
@@ -442,54 +485,18 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                                     query_branches.size(), g_size)))
                     : static_cast<int64_t>(blk_lb[j]);
             tier1_lb[g_size] = lb;
-            tier1_ub[g_size] = static_cast<size_t>(lb) < suffix_max.size()
-                                   ? suffix_max[static_cast<size_t>(lb)]
-                                   : 0.0;  // past Phi's support: exact zero
+            tier1_ub[g_size] = phi_upper(suffix_max, lb);
           } else {
             tier1_lb[g_size] = std::numeric_limits<int64_t>::max();
             tier1_ub[g_size] = std::numeric_limits<double>::infinity();
           }
         }
-        // Tier 1 costs two array loads; tier 2 a capped kernel merge,
-        // still far cheaper than the full scoring it stands in for.
+        // Tier 1 costs two array loads; tier 2 one count read and one
+        // table load, far cheaper than the full scoring it stands in for.
         bool pruned = strictly_worse(tier1_ub[g_size], tier1_lb[g_size]);
         if (!pruned && table_by_size[g_size] != nullptr) {
-          size_t cn = 0;
-          const uint64_t* ck = candidate_fps(id, &cn);
-          if (options.variant == GbdaVariant::kWeightedGbd) {
-            // VGBD's rounding makes the phi_lb <-> common-cap inversion
-            // fiddly; take the exact counting merge instead.
-            const std::vector<double>& suffix_max = *table_by_size[g_size];
-            const int64_t lb2 = phi_lower(
-                max_size,
-                kernels.intersect_count(query_keys, query_keys_n, ck, cn));
-            const double ub2 = static_cast<size_t>(lb2) < suffix_max.size()
-                                   ? suffix_max[static_cast<size_t>(lb2)]
-                                   : 0.0;
-            pruned = strictly_worse(ub2, lb2);
-          } else {
-            // phi_lb = max_size - common exactly, and strictly_worse is
-            // monotone in phi_lb (the suffix max is non-increasing), so
-            // "prune" is equivalent to common <= cap for the per-size cut
-            // below — decidable by an early-exiting capped kernel merge.
-            int64_t cap = tier2_cap[g_size];
-            if (cap == kCapUnset) {
-              const std::vector<double>& suffix_max = *table_by_size[g_size];
-              // Tier 1 failed at tier1_lb, so the cut lies strictly above.
-              int64_t p = tier1_lb[g_size] + 1;
-              while (p <= max_size) {
-                const double ub = static_cast<size_t>(p) < suffix_max.size()
-                                      ? suffix_max[static_cast<size_t>(p)]
-                                      : 0.0;
-                if (strictly_worse(ub, p)) break;
-                ++p;
-              }
-              cap = p > max_size ? -1 : max_size - p;
-              tier2_cap[g_size] = cap;
-            }
-            pruned = cap >= 0 && kernels.intersect_at_most(
-                                     query_keys, query_keys_n, ck, cn, cap);
-          }
+          const int64_t lb2 = phi_lower(max_size, common_at(j));
+          pruned = strictly_worse(phi_upper(*table_by_size[g_size], lb2), lb2);
         }
         if (pruned) {
           ++result->pruned_by_bound;
@@ -509,17 +516,13 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       size_t g_size;
       if (fp_exact) {
         // Exact fingerprint scoring (see ScanContext::fp_exact): under the
-        // certified-injective mapping the sorted-u64 intersection IS the
-        // branch-multiset intersection, so the lexicographic branch merge
-        // — and the candidate's branch arrays altogether — are never
-        // touched.
-        const uint64_t lo = columns.fp_offsets[id];
-        const size_t cn =
-            static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
-        g_size = cn;
-        const int64_t common = kernels.intersect_count(
-            query_keys, query_keys_n, columns.fp_keys + lo, cn);
-        phi = static_cast<int64_t>(std::max(query_keys_n, cn)) - common;
+        // certified-injective mapping the fingerprint intersection count IS
+        // the branch-multiset intersection count, so the lexicographic
+        // branch merge — and the candidate's branch arrays altogether — are
+        // never touched.
+        g_size = columns.sizes[id];
+        phi = static_cast<int64_t>(std::max(query_branches.size(), g_size)) -
+              common_at(j);
       } else {
         const BranchSetRef g_branches = index.branch_set(id);
         g_size = g_branches.size();

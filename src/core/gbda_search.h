@@ -290,10 +290,11 @@ struct ScanContext {
   BranchSetRef query_ref;
 
   /// The query's branch fingerprints, sorted ascending — the query side of
-  /// every kernel call: the tier-2 capped intersection cut, and (when
-  /// fp_exact below holds) the exact fingerprint-scoring path. Always
-  /// built; same content as query_profile.branch_keys when that profile
-  /// exists.
+  /// every common-branch count: the range scan's postings pass
+  /// (CountCommonBranches) and the listed scan's per-candidate merges,
+  /// read by tier 2 and (when fp_exact below holds) by the exact
+  /// fingerprint-scoring path. Always built; same content as
+  /// query_profile.branch_keys when that profile exists.
   std::vector<uint64_t> query_fps;
   /// True when fingerprint intersections against THIS index are provably
   /// exact for this query: the index's columns carry the corpus-injectivity
@@ -342,8 +343,10 @@ Result<ScanContext> PrepareScan(const Graph& query,
 ///    the call's own heap of the k best pairs it appended, or the best
 ///    cross-shard witness in bounds->witness().
 /// The proof pushes a GBD lower bound — from the size column (tier 1,
-/// O(1)), then from fingerprint-column intersections (tier 2, capped
-/// early-exit merge) — through PosteriorEngine::PhiSuffixMax; a tie in the
+/// O(1)), then from the candidate's fingerprint common-branch count
+/// (tier 2: one read of the count the call's single postings pass over
+/// [begin, end) filled in, see CountCommonBranches) — through
+/// PosteriorEngine::PhiSuffixMax; a tie in the
 /// bounded phi falls through to the gbd tie-break, so ranking pruning stays
 /// live even when the k-th best phi_score is exactly 0. Every skip is
 /// provably outside the answer, so the threshold matches and (after

@@ -56,25 +56,34 @@ struct CandidateColumns {
   /// (FilterProfile::branch_keys semantics: FNV-1a over root + ascending
   /// edge-label multiset); total-branch entries.
   const uint64_t* fp_keys = nullptr;
-  /// Optional collision directory certifying fingerprint EXACTNESS for this
-  /// corpus: fp_unique is the ascending set of distinct fingerprints over
-  /// every corpus branch, fp_rep[i] packs a representative branch holding
-  /// fp_unique[i] as (graph_id << 32 | branch_index). The directory is
-  /// emitted only when the fingerprint -> branch-content mapping is
-  /// INJECTIVE corpus-wide, so a query whose own branches also pass the
-  /// collision audit (PrepareScan) may compute exact branch intersections
-  /// as fingerprint intersections. nullptr when the corpus has a collision
-  /// (astronomically rare at 64 bits), and possibly when it has no branches
-  /// at all (an empty owned directory may have a null data pointer).
+  /// The ascending set of distinct fingerprints over every corpus branch;
+  /// num_distinct entries. The key list of the postings below and of the
+  /// exactness directory.
   const uint64_t* fp_unique = nullptr;
-  const uint64_t* fp_rep = nullptr;
   uint64_t num_distinct = 0;
+  /// Inverted fingerprint postings: posting_offsets[k] ..
+  /// posting_offsets[k+1] bound, in posting_ids, the ascending ids of the
+  /// graphs holding fp_unique[k], each id listed once per occurrence of the
+  /// key in that graph. num_distinct + 1 offsets ending at the total branch
+  /// count, so posting_ids has one entry per branch. One pass over a query
+  /// key's list yields every candidate's share of the common-branch count
+  /// (CountCommonBranches, core/candidate_columns.h).
+  const uint64_t* posting_offsets = nullptr;
+  const uint32_t* posting_ids = nullptr;
+  /// Optional collision directory certifying fingerprint EXACTNESS for this
+  /// corpus: fp_rep[i] packs a representative branch holding fp_unique[i]
+  /// as (graph_id << 32 | branch_index). It is emitted only when the
+  /// fingerprint -> branch-content mapping is INJECTIVE corpus-wide, so a
+  /// query whose own branches also pass the collision audit (PrepareScan)
+  /// may compute exact branch intersections as fingerprint intersections.
+  /// nullptr when the corpus has a collision (astronomically rare at 64
+  /// bits), and possibly when it has no branches at all (an empty owned
+  /// directory may have a null data pointer).
+  const uint64_t* fp_rep = nullptr;
 
   /// The corpus certifies collision-free fingerprints, so fingerprint
   /// intersections of audited queries are exact.
-  bool exactness_certified() const {
-    return fp_unique != nullptr && fp_rep != nullptr;
-  }
+  bool exactness_certified() const { return fp_rep != nullptr; }
 };
 
 class IndexReader {

@@ -88,14 +88,6 @@ int64_t CommonBranchUpperBound(const FilterProfile& a,
       .intersect_count(ka.data(), ka.size(), kb.data(), kb.size());
 }
 
-bool CommonBranchUpperBoundAtMost(const FilterProfile& a,
-                                  const FilterProfile& b, int64_t cap) {
-  const std::vector<uint64_t>& ka = a.branch_keys;
-  const std::vector<uint64_t>& kb = b.branch_keys;
-  return GetScanKernels(KernelImpl::kScalar)
-      .intersect_at_most(ka.data(), ka.size(), kb.data(), kb.size(), cap);
-}
-
 int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b) {
   // Size layer: AV/DV change |V| by one, AE/DE change |E| by one.
   const int64_t dv = std::llabs(a.num_vertices - b.num_vertices);

@@ -76,16 +76,6 @@ int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b);
 /// touched.
 int64_t CommonBranchUpperBound(const FilterProfile& a, const FilterProfile& b);
 
-/// Decision form of CommonBranchUpperBound: true iff the fingerprint
-/// intersection is <= cap. Early-exits in both directions — as soon as the
-/// intersection exceeds cap, or as soon as the remaining tails cannot lift
-/// it above cap — so a typical call inspects far fewer elements than the
-/// counting form. This is the top-k scan's hot tier-2 test: it folds the
-/// whole "does the Phi upper bound rank this candidate strictly after the
-/// current k-th best" question into one capped merge (gbda_search.cc).
-bool CommonBranchUpperBoundAtMost(const FilterProfile& a,
-                                  const FilterProfile& b, int64_t cap);
-
 /// The layered prefilter of the multi-layer indexing direction discussed in
 /// the paper's related work [35]: a size layer (O(1)) then a label layer
 /// (O(n)) in front of the probabilistic test. Sound for any search with

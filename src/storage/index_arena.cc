@@ -53,12 +53,16 @@ const char* ArenaSectionName(uint32_t id) {
       return "fp_unique";
     case kSecFpRep:
       return "fp_rep";
+    case kSecPostingOffsets:
+      return "posting_offsets";
+    case kSecPostingIds:
+      return "posting_ids";
   }
   return "unknown";
 }
 
-Result<std::string> BuildArena(const IndexReader& index,
-                               const ProximityGraph* ann_graph) {
+Status WriteArenaFile(const IndexReader& index, const std::string& path,
+                      const ProximityGraph* ann_graph) {
   const size_t num_graphs = index.num_graphs();
   if (index.num_live() != num_graphs) {
     return Status::FailedPrecondition(
@@ -73,6 +77,20 @@ Result<std::string> BuildArena(const IndexReader& index,
         "arena build: Lambda2 is stale (mutations since last fit); refit "
         "before persisting");
   }
+  if (ann_graph != nullptr && ann_graph->num_nodes() != num_graphs) {
+    return Status::FailedPrecondition(
+        "arena build: proximity graph covers " +
+        std::to_string(ann_graph->num_nodes()) +
+        " nodes but the index holds " + std::to_string(num_graphs) +
+        " graphs");
+  }
+
+  // Candidate columns: a mapped view re-persists its own sections
+  // byte-identically, an owned index hands over its lazy cache. Both come
+  // from BuildCandidateColumns, which is deterministic in the branch data.
+  // Taken first, so an owned index's one-off build has released its
+  // transient hash state before the branch store is flattened below.
+  const CandidateColumns columns = index.columns();
 
   // Flatten the branch store. Works from any IndexReader backing: an owned
   // index walks its multisets, a mapped view copies its own arena slices.
@@ -103,21 +121,7 @@ Result<std::string> BuildArena(const IndexReader& index,
   BinaryWriter ged_blob;
   index.mutable_ged_prior()->Serialize(&ged_blob);
   std::string ann_blob;
-  if (ann_graph != nullptr) {
-    if (ann_graph->num_nodes() != num_graphs) {
-      return Status::FailedPrecondition(
-          "arena build: proximity graph covers " +
-          std::to_string(ann_graph->num_nodes()) +
-          " nodes but the index holds " + std::to_string(num_graphs) +
-          " graphs");
-    }
-    ann_blob = SerializeProximityGraph(*ann_graph);
-  }
-
-  // Candidate columns: a mapped view re-persists its own sections
-  // byte-identically, an owned index hands over its lazy cache. Both come
-  // from BuildCandidateColumns, which is deterministic in the branch data.
-  const CandidateColumns columns = index.columns();
+  if (ann_graph != nullptr) ann_blob = SerializeProximityGraph(*ann_graph);
 
   struct SectionBytes {
     uint32_t id;
@@ -148,14 +152,20 @@ Result<std::string> BuildArena(const IndexReader& index,
   sections.push_back({kSecFpKeys,
                       reinterpret_cast<const char*>(columns.fp_keys),
                       total_branches * sizeof(uint64_t)});
+  sections.push_back({kSecFpUnique,
+                      reinterpret_cast<const char*>(columns.fp_unique),
+                      columns.num_distinct * sizeof(uint64_t)});
   if (columns.exactness_certified()) {
-    sections.push_back({kSecFpUnique,
-                        reinterpret_cast<const char*>(columns.fp_unique),
-                        columns.num_distinct * sizeof(uint64_t)});
     sections.push_back({kSecFpRep,
                         reinterpret_cast<const char*>(columns.fp_rep),
                         columns.num_distinct * sizeof(uint64_t)});
   }
+  sections.push_back({kSecPostingOffsets,
+                      reinterpret_cast<const char*>(columns.posting_offsets),
+                      (columns.num_distinct + 1) * sizeof(uint64_t)});
+  sections.push_back({kSecPostingIds,
+                      reinterpret_cast<const char*>(columns.posting_ids),
+                      total_branches * sizeof(uint32_t)});
   const uint32_t section_count = static_cast<uint32_t>(sections.size());
   const size_t header_bytes = ArenaHeaderBytes(section_count);
 
@@ -204,27 +214,25 @@ Result<std::string> BuildArena(const IndexReader& index,
   header.PutU32(Crc32(meta.buffer().data(), meta.buffer().size()));
   header.PutU32(0);  // reserved
 
-  std::string arena;
-  arena.reserve(static_cast<size_t>(file_bytes));
-  arena.append(header.buffer());
-  arena.append(meta.buffer());
-  for (size_t s = 0; s < section_count; ++s) {
-    arena.resize(static_cast<size_t>(offsets[s]), '\0');  // alignment pad
-    if (sections[s].length > 0) {
-      arena.append(sections[s].data, static_cast<size_t>(sections[s].length));
-    }
-  }
-  arena.resize(static_cast<size_t>(file_bytes), '\0');
-  return arena;
-}
-
-Status WriteArenaFile(const IndexReader& index, const std::string& path,
-                      const ProximityGraph* ann_graph) {
-  Result<std::string> arena = BuildArena(index, ann_graph);
-  if (!arena.ok()) return arena.status();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  out.write(arena->data(), static_cast<std::streamsize>(arena->size()));
+  uint64_t written = 0;
+  const auto emit = [&](const char* data, uint64_t length) {
+    if (length > 0) out.write(data, static_cast<std::streamsize>(length));
+    written += length;
+  };
+  // Every gap (header to first section, section to section, last section
+  // to file end) is alignment padding, so shorter than one alignment unit.
+  static const char kZeros[kArenaSectionAlign] = {};
+  const auto pad_to = [&](uint64_t offset) { emit(kZeros, offset - written); };
+  emit(header.buffer().data(), header.buffer().size());
+  emit(meta.buffer().data(), meta.buffer().size());
+  for (size_t s = 0; s < section_count; ++s) {
+    pad_to(offsets[s]);
+    emit(sections[s].data, sections[s].length);
+  }
+  pad_to(file_bytes);
+  out.flush();
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }
@@ -374,6 +382,9 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
       case kSecFpKeys:
         expected_trailing = info.total_branches * sizeof(uint64_t);
         break;
+      case kSecPostingIds:
+        expected_trailing = info.total_branches * sizeof(uint32_t);
+        break;
       default:
         check_trailing = false;
         break;
@@ -383,8 +394,8 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
                                     ArenaSectionName(sec.id) +
                                     "' length disagrees with header counts");
     }
-    // The directory holds whole u64 entries for (at most) one distinct
-    // fingerprint per branch.
+    // The key list and the directory hold whole u64 entries for (at most)
+    // one distinct fingerprint per branch.
     if ((sec.id == kSecFpUnique || sec.id == kSecFpRep) &&
         (sec.length % sizeof(uint64_t) != 0 ||
          sec.length / sizeof(uint64_t) > info.total_branches)) {
@@ -396,30 +407,34 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
     info.sections.push_back(sec);
   }
 
-  // The candidate columns (8..10) are mandatory: every scan reads its sizes
-  // and fingerprints from them. An arena without them predates the column
-  // format and has to be rebuilt. The exactness directory is an optional,
-  // parallel pair.
+  // The candidate columns are mandatory: every scan reads its sizes,
+  // fingerprints and common-branch counts from them. An arena without them
+  // predates the column format (or its postings) and has to be rebuilt.
+  // The exactness directory is an optional array parallel to fp_unique.
   std::string missing;
-  for (uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys}) {
+  for (uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys, kSecFpUnique,
+                      kSecPostingOffsets, kSecPostingIds}) {
     if (info.FindSection(id) != nullptr) continue;
     missing += std::string(missing.empty() ? "" : ", ") + ArenaSectionName(id);
   }
   if (!missing.empty()) {
     return ArenaError(source,
                       "missing candidate-column sections (" + missing +
-                          "); the artifact predates the column format — "
-                          "rebuild it with gbda_indexctl build");
+                          "); the artifact predates the current column "
+                          "format — rebuild it with gbda_indexctl build");
   }
   const ArenaSectionInfo* fp_unique = info.FindSection(kSecFpUnique);
   const ArenaSectionInfo* fp_rep = info.FindSection(kSecFpRep);
-  if ((fp_unique != nullptr) != (fp_rep != nullptr)) {
-    return ArenaError(source, "partial exactness-directory section pair");
-  }
-  if (fp_unique != nullptr && fp_unique->length != fp_rep->length) {
+  if (fp_rep != nullptr && fp_rep->length != fp_unique->length) {
     return ArenaError(source,
                       "fp_unique and fp_rep lengths disagree (the directory "
                       "arrays are parallel)");
+  }
+  if (info.FindSection(kSecPostingOffsets)->length !=
+      fp_unique->length + sizeof(uint64_t)) {
+    return ArenaError(source,
+                      "section 'posting_offsets' length disagrees with "
+                      "fp_unique (one offset per key, plus the end)");
   }
   return info;
 }
@@ -499,7 +514,6 @@ Status ValidateArenaColumns(std::string_view data, const ArenaInfo& info,
   }
 
   const ArenaSectionInfo* fp_unique = info.FindSection(kSecFpUnique);
-  if (fp_unique == nullptr) return Status::OK();
   const ArenaSectionInfo* fp_rep = info.FindSection(kSecFpRep);
   const uint64_t num_distinct = fp_unique->length / sizeof(uint64_t);
   // fp_unique strictly ascending (a set, and binary-searchable); every
@@ -513,6 +527,7 @@ Status ValidateArenaColumns(std::string_view data, const ArenaInfo& info,
       return ArenaError(source, "fp_unique is not strictly ascending");
     }
     prev_key = key;
+    if (fp_rep == nullptr) continue;
     const uint64_t rep = ReadU64At(
         data, static_cast<size_t>(fp_rep->offset + i * sizeof(uint64_t)));
     const uint64_t graph = rep >> 32;
@@ -529,6 +544,49 @@ Status ValidateArenaColumns(std::string_view data, const ArenaInfo& info,
     if (branch >= hi - lo) {
       return ArenaError(source, "fp_rep names an out-of-range branch");
     }
+  }
+
+  // The postings: offsets [0 .. total_branches] nondecreasing (so every
+  // list lies inside posting_ids), and each list ascending with ids below
+  // num_graphs — what keeps the count pass's lower_bound valid and its
+  // scratch writes (slot = id - shard begin) in-bounds.
+  const ArenaSectionInfo* posting_offsets =
+      info.FindSection(kSecPostingOffsets);
+  const ArenaSectionInfo* posting_ids = info.FindSection(kSecPostingIds);
+  const auto posting_offset = [&](uint64_t k) {
+    return ReadU64At(data, static_cast<size_t>(posting_offsets->offset +
+                                               k * sizeof(uint64_t)));
+  };
+  uint64_t prev = posting_offset(0);
+  if (prev != 0) return ArenaError(source, "posting_offsets[0] != 0");
+  for (uint64_t k = 1; k <= num_distinct; ++k) {
+    const uint64_t cur = posting_offset(k);
+    if (cur < prev) {
+      return ArenaError(source, "posting_offsets is not nondecreasing");
+    }
+    prev = cur;
+  }
+  if (prev != info.total_branches) {
+    return ArenaError(source,
+                      "posting_offsets does not end at total_branches");
+  }
+  uint64_t list_end = 0;
+  uint64_t k = 0;
+  uint32_t prev_id = 0;
+  for (uint64_t p = 0; p < info.total_branches; ++p) {
+    uint32_t id;
+    std::memcpy(&id, data.data() + posting_ids->offset + p * sizeof(id),
+                sizeof(id));
+    if (id >= info.num_graphs) {
+      return ArenaError(source, "posting_ids names an out-of-range graph");
+    }
+    // A new list starts at p; skip empty ones (a key with no postings).
+    const bool list_start = p == list_end;
+    while (p == list_end) list_end = posting_offset(++k);
+    if (!list_start && id < prev_id) {
+      return ArenaError(source, "posting_ids list is not ascending");
+    }
+    prev_id = id;
   }
   return Status::OK();
 }

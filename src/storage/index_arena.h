@@ -24,15 +24,16 @@
 ///   | 6 ged_prior     serialized GedPriorTable blob (Lambda3)      |
 ///   | 7 ann_graph     optional proximity graph (ann/proximity_-    |
 ///   |                 graph.h payload), mmap'd by approximate mode |
-///   | 8..12 candidate columns (SoA, read in place by the batched   |
+///   | 8..14 candidate columns (SoA, read in place by the batched   |
 ///   |                 scan kernels): mandatory graph_sizes /       |
-///   |                 fp_offsets / fp_keys, plus the optional      |
-///   |                 fp_unique+fp_rep exactness directory         |
+///   |                 fp_offsets / fp_keys / fp_unique and the     |
+///   |                 inverted postings, plus the optional fp_rep  |
+///   |                 exactness directory                          |
 ///   +--------------------------------------------------------------+
 ///
 /// The first six sections are canonical and appear in id order; trailing
 /// sections follow with strictly increasing ids. Of those, the candidate
-/// columns 8..10 are mandatory — a reader rejects an arena without them and
+/// columns 8..11, 13 and 14 are mandatory — a reader rejects an arena without them and
 /// asks for a rebuild — and every other trailing id is optional. A reader
 /// structurally validates (and CRC-covers) every trailing section but SKIPS
 /// ids it does not know — forward compatibility: an artifact written by a
@@ -78,7 +79,7 @@ inline constexpr uint32_t kArenaVersion = 3;
 /// Written as 0x01020304; a big-endian writer would produce 0x04030201.
 inline constexpr uint32_t kArenaEndianTag = 0x01020304;
 /// The canonical sections every artifact carries first, in id order (ids
-/// 1..6). The mandatory candidate columns (ids 8..10) trail them.
+/// 1..6). The mandatory candidate columns (ids 8..11, 13, 14) trail them.
 inline constexpr uint32_t kArenaSectionCount = 6;
 /// Sanity cap on the declared section count: far above anything this
 /// format family will ever need, low enough that a corrupt count cannot
@@ -87,8 +88,8 @@ inline constexpr uint32_t kMaxArenaSectionCount = 64;
 inline constexpr size_t kArenaSectionAlign = 64;
 
 /// Section ids. Ids 1..6 are canonical and appear in exactly this order;
-/// higher ids are trailing sections in strictly increasing order. 8..10 are
-/// mandatory, the rest optional (unknown ones are skipped by readers — see
+/// higher ids are trailing sections in strictly increasing order. 8..11,
+/// 13 and 14 are mandatory, the rest optional (unknown ones are skipped by readers — see
 /// the file comment).
 enum ArenaSectionId : uint32_t {
   kSecBranchStart = 1,
@@ -102,24 +103,34 @@ enum ArenaSectionId : uint32_t {
   /// built with one (gbda_indexctl build --ann / graph).
   kSecAnnGraph = 7,
   /// SoA candidate columns (core/index_reader.h, CandidateColumns): the
-  /// batched scan kernels read these in place. Mandatory — every writer
-  /// emits all three and ParseArenaHeader rejects an arena missing any:
-  ///   8  graph_sizes  u32[num_graphs]        per-graph branch counts
-  ///   9  fp_offsets   u64[num_graphs + 1]    == branch_start (one
-  ///                                          fingerprint per branch)
-  ///   10 fp_keys      u64[total_branches]    per-graph ASCENDING FNV
-  ///                                          branch-fingerprint keys
+  /// batched scan kernels read these in place. Mandatory except fp_rep —
+  /// every writer emits them and ParseArenaHeader rejects an arena missing
+  /// any:
+  ///   8  graph_sizes      u32[num_graphs]        per-graph branch counts
+  ///   9  fp_offsets       u64[num_graphs + 1]    == branch_start (one
+  ///                                              fingerprint per branch)
+  ///   10 fp_keys          u64[total_branches]    per-graph ASCENDING FNV
+  ///                                              branch-fingerprint keys
+  ///   11 fp_unique        u64[num_distinct]      strictly ascending
+  ///                                              distinct fingerprints
+  ///   13 posting_offsets  u64[num_distinct + 1]  key -> posting range,
+  ///                                              ending at total_branches
+  ///   14 posting_ids      u32[total_branches]    per key, the ascending
+  ///                                              ids of the graphs holding
+  ///                                              it, once per occurrence
   kSecGraphSizes = 8,
   kSecFpOffsets = 9,
   kSecFpKeys = 10,
-  /// The exactness directory (an optional both-or-neither pair): ascending
-  /// distinct fingerprints over the whole corpus plus one representative
-  /// branch each, packed (graph_id << 32 | branch_index). Emitted only when
-  /// the fingerprint -> branch-content mapping is injective corpus-wide,
-  /// which lets audited queries score candidates on fingerprints alone
-  /// (core/candidate_columns.h).
   kSecFpUnique = 11,
+  /// The optional exactness directory, parallel to fp_unique: one
+  /// representative branch per distinct fingerprint, packed
+  /// (graph_id << 32 | branch_index). Emitted only when the fingerprint ->
+  /// branch-content mapping is injective corpus-wide, which lets audited
+  /// queries score candidates on fingerprints alone
+  /// (core/candidate_columns.h).
   kSecFpRep = 12,
+  kSecPostingOffsets = 13,
+  kSecPostingIds = 14,
 };
 
 /// Human-readable section name ("branch_start", ...), for diagnostics.
@@ -176,17 +187,15 @@ struct ArenaInfo {
 
 // -- Building / inspecting ---------------------------------------------------
 
-/// Serializes `index` (any IndexReader — an owned GbdaIndex or another
-/// mapped view) into a v3 arena, candidate columns included. Fails on
-/// tombstoned indexes and on a stale Lambda2 (the format carries no
-/// staleness) — except for the empty index, whose prior is vacuously
-/// unfittable and is persisted as-is. A non-null `ann_graph` (which must
-/// cover exactly index.num_graphs() nodes) is appended as the optional
-/// ann_graph section.
-Result<std::string> BuildArena(const IndexReader& index,
-                               const ProximityGraph* ann_graph = nullptr);
-
-/// BuildArena + atomic-ish write (whole buffer, single ofstream).
+/// Writes `index` (any IndexReader — an owned GbdaIndex or another mapped
+/// view) to `path` as a v3 arena, candidate columns included. The header,
+/// meta block and each section stream straight to the file, with the
+/// section CRCs taken from the source buffers, so no whole-arena copy is
+/// ever held in memory. Fails on tombstoned indexes and on a stale Lambda2
+/// (the format carries no staleness) — except for the empty index, whose
+/// prior is vacuously unfittable and is persisted as-is. A non-null
+/// `ann_graph` (which must cover exactly index.num_graphs() nodes) is
+/// appended as the optional ann_graph section.
 Status WriteArenaFile(const IndexReader& index, const std::string& path,
                       const ProximityGraph* ann_graph = nullptr);
 
@@ -211,11 +220,14 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
 Status ValidateArenaOffsets(std::string_view data, const ArenaInfo& info,
                             const std::string& source);
 
-/// Validates the candidate-column sections (8..12) — the serving-safety
+/// Validates the candidate-column sections (8..14) — the serving-safety
 /// companion to ValidateArenaOffsets for the column scan
 /// path: graph_sizes must equal the branch_start deltas (and hence fit
 /// u32), fp_offsets must equal branch_start elementwise, fp_unique must be
-/// strictly ascending, and every fp_rep entry must name an in-bounds branch
+/// strictly ascending, posting_offsets must start at 0, be nondecreasing
+/// and end at total_branches, every posting list must hold ascending ids
+/// below num_graphs — the check that keeps the count pass's scratch writes
+/// in-bounds — and every fp_rep entry must name an in-bounds branch
 /// (graph_id < num_graphs, branch_index < that graph's size) — the check
 /// that makes the query-side collision audit's branch_set() dereferences
 /// in-bounds. Runs at every view open and under `gbda_indexctl verify`.

@@ -21,8 +21,8 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
   Status offsets_ok = ValidateArenaOffsets(data, *info, path);
   if (!offsets_ok.ok()) return offsets_ok;
   // Same serving-safety standard for the candidate-column sections: after
-  // this, every column sweep and every fp_rep dereference the scan performs
-  // is in-bounds.
+  // this, every column sweep, postings walk and fp_rep dereference the scan
+  // performs is in-bounds.
   Status columns_ok = ValidateArenaColumns(data, *info, path);
   if (!columns_ok.ok()) return columns_ok;
   if (open_options.verify_checksums) {
@@ -51,20 +51,25 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
   view.labels_ =
       reinterpret_cast<const LabelId*>(base + info->sections[3].offset);
 
-  // Candidate columns, served in place like the branch arena. Mandatory:
-  // ParseArenaHeader already rejected an arena without sections 8..10.
-  view.columns_.sizes = reinterpret_cast<const uint32_t*>(
-      base + info->FindSection(kSecGraphSizes)->offset);
-  view.columns_.fp_offsets = reinterpret_cast<const uint64_t*>(
-      base + info->FindSection(kSecFpOffsets)->offset);
-  view.columns_.fp_keys = reinterpret_cast<const uint64_t*>(
-      base + info->FindSection(kSecFpKeys)->offset);
-  if (const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique)) {
-    view.columns_.fp_unique =
-        reinterpret_cast<const uint64_t*>(base + uniq->offset);
-    view.columns_.fp_rep = reinterpret_cast<const uint64_t*>(
-        base + info->FindSection(kSecFpRep)->offset);
-    view.columns_.num_distinct = uniq->length / sizeof(uint64_t);
+  // Candidate columns, served in place like the branch arena. Mandatory
+  // except fp_rep: ParseArenaHeader already rejected an arena without them.
+  const auto section = [&](uint32_t id) {
+    return base + info->FindSection(id)->offset;
+  };
+  CandidateColumns& columns = view.columns_;
+  columns.sizes = reinterpret_cast<const uint32_t*>(section(kSecGraphSizes));
+  columns.fp_offsets =
+      reinterpret_cast<const uint64_t*>(section(kSecFpOffsets));
+  columns.fp_keys = reinterpret_cast<const uint64_t*>(section(kSecFpKeys));
+  columns.fp_unique = reinterpret_cast<const uint64_t*>(section(kSecFpUnique));
+  columns.num_distinct =
+      info->FindSection(kSecFpUnique)->length / sizeof(uint64_t);
+  columns.posting_offsets =
+      reinterpret_cast<const uint64_t*>(section(kSecPostingOffsets));
+  columns.posting_ids =
+      reinterpret_cast<const uint32_t*>(section(kSecPostingIds));
+  if (info->FindSection(kSecFpRep) != nullptr) {
+    columns.fp_rep = reinterpret_cast<const uint64_t*>(section(kSecFpRep));
   }
 
   // The prior blobs are the only decoded state: both are small (a GMM plus

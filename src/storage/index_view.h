@@ -115,8 +115,8 @@ class GbdaIndexView : public IndexReader {
   const uint32_t* roots_ = nullptr;
   const uint64_t* label_start_ = nullptr;
   const LabelId* labels_ = nullptr;
-  /// Typed pointers into the mapped column sections (fp_unique / fp_rep
-  /// stay nullptr when the artifact carries no exactness directory).
+  /// Typed pointers into the mapped column sections (fp_rep stays nullptr
+  /// when the artifact carries no exactness directory).
   CandidateColumns columns_;
   /// Parsed at open when the optional ann_graph section is present and
   /// readable; points into the mapping.

@@ -39,6 +39,10 @@ void PatchU32(std::string* data, size_t offset, uint32_t value) {
   std::memcpy(&(*data)[offset], &value, sizeof(value));
 }
 
+void PatchU64(std::string* data, size_t offset, uint64_t value) {
+  std::memcpy(&(*data)[offset], &value, sizeof(value));
+}
+
 // Recomputes the header CRC after a deliberate header edit, so the tests
 // below exercise the section-table validation rather than tripping the
 // always-on meta checksum. Mirrors the writer: the CRC at preamble offset
@@ -188,26 +192,56 @@ std::string RelabelTrailingSections(const std::string& data,
   return out;
 }
 
+/// Rewrites the artifact as a future build might have written it: the
+/// optional exactness directory (fp_rep) is gone from the table and an
+/// unknown trailing section 43 — carrying a copy of fp_rep's payload —
+/// follows the last one at the end of the file. The entry count, hence the
+/// header size, is unchanged, so no payload moves; the header CRC is
+/// re-sealed.
+std::string FutureArtifact(const std::string& data, const ArenaInfo& info) {
+  const ArenaSectionInfo* rep = info.FindSection(kSecFpRep);
+  std::vector<ArenaSectionInfo> table;
+  for (const ArenaSectionInfo& sec : info.sections) {
+    if (sec.id != kSecFpRep) table.push_back(sec);
+  }
+  ArenaSectionInfo future = *rep;
+  future.id = 43;
+  future.offset = data.size();  // the file end is 64-byte aligned
+  table.push_back(future);
+  std::string out = data;
+  out.append(data, static_cast<size_t>(rep->offset),
+             static_cast<size_t>(rep->length));
+  out.resize((out.size() + kArenaSectionAlign - 1) / kArenaSectionAlign *
+                 kArenaSectionAlign,
+             '\0');
+  for (size_t s = 0; s < table.size(); ++s) {
+    PatchU32(&out, SectionEntryOffset(s, 0), table[s].id);
+    PatchU64(&out, SectionEntryOffset(s, 8), table[s].offset);
+    PatchU64(&out, SectionEntryOffset(s, 16), table[s].length);
+    PatchU32(&out, SectionEntryOffset(s, 24), table[s].crc32);
+  }
+  PatchU64(&out, 16, out.size());  // file_bytes
+  FixMetaCrc(&out);
+  return out;
+}
+
 TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
-  // Simulate an artifact from a future build: relabel the optional
-  // exactness-directory pair (ids 11/12) with ids this reader does not
-  // know (43/44). The mandatory columns stay, so the view opens, serves
-  // through them without the directory, and answers bit-identically.
+  // Simulate an artifact from a future build: the optional exactness
+  // directory (id 12) is replaced by a section this reader does not know
+  // (43). The mandatory columns stay, so the view opens, serves through
+  // them without the directory, and answers bit-identically.
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> original = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(original.ok());
-  ASSERT_NE(original->FindSection(kSecFpUnique), nullptr)
+  ASSERT_NE(original->FindSection(kSecFpRep), nullptr)
       << "fixture corpus must certify fingerprint exactness";
-  const std::string future =
-      RelabelTrailingSections(data, *original, kSecFpUnique);
+  const std::string future = FutureArtifact(data, *original);
   const std::string path = ::testing::TempDir() + "/ann_arena_future.v3";
   WriteFile(path, future);
 
   Result<ArenaInfo> info = ParseArenaHeader(future, path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_NE(info->FindSection(43), nullptr);
-  EXPECT_NE(info->FindSection(44), nullptr);
-  EXPECT_EQ(info->FindSection(kSecFpUnique), nullptr);
   EXPECT_EQ(info->FindSection(kSecFpRep), nullptr);
   // Checksum verification still covers the unknown payloads.
   EXPECT_TRUE(VerifyArenaChecksums(future, *info, path).ok());
@@ -242,7 +276,7 @@ TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
 }
 
 TEST_F(AnnArenaTest, ArenaWithoutCandidateColumnsIsRejected) {
-  // Relabelling every column section (ids 8..12) leaves an arena shaped
+  // Relabelling every column section (ids 8..14) leaves an arena shaped
   // like one written before the columns existed. The columns are
   // mandatory, so the open fails with a typed error naming them.
   const std::string data = ReadFile(*arena_path_);
@@ -257,7 +291,8 @@ TEST_F(AnnArenaTest, ArenaWithoutCandidateColumnsIsRejected) {
   ASSERT_FALSE(view.ok());
   EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument);
   const std::string& message = view.status().message();
-  for (const char* name : {"graph_sizes", "fp_offsets", "fp_keys"}) {
+  for (const char* name : {"graph_sizes", "fp_offsets", "fp_keys", "fp_unique",
+                           "posting_offsets", "posting_ids"}) {
     EXPECT_NE(message.find(name), std::string::npos) << message;
   }
   EXPECT_NE(message.find("rebuild"), std::string::npos) << message;

@@ -1,5 +1,5 @@
 // The v3 arena's candidate-column sections (storage/index_arena.h ids
-// 8..12): writer emission, open-time cross-section validation
+// 8..14): writer emission, open-time cross-section validation
 // (ValidateArenaColumns), per-section corruption detection, the mandatory
 // column group, and agreement between mapped columns and the on-the-fly
 // BuildCandidateColumns of the same branch data. Re-persisting a mapped
@@ -103,12 +103,23 @@ TEST_F(ArenaColumnsTest, WriterEmitsTheColumnGroup) {
   EXPECT_EQ(offsets->length, (info->num_graphs + 1) * sizeof(uint64_t));
   EXPECT_EQ(keys->length, info->total_branches * sizeof(uint64_t));
   for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys,
-                            kSecFpUnique, kSecFpRep}) {
+                            kSecFpUnique, kSecFpRep, kSecPostingOffsets,
+                            kSecPostingIds}) {
     if (const ArenaSectionInfo* sec = info->FindSection(id)) {
       EXPECT_EQ(sec->offset % kArenaSectionAlign, 0u) << ArenaSectionName(id);
     }
   }
-  // The directory pair is all-or-nothing.
+  // The key list and its postings are unconditional; this fixture also
+  // certifies, so the directory sits beside the key list.
+  const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
+  const ArenaSectionInfo* posting_offsets =
+      info->FindSection(kSecPostingOffsets);
+  const ArenaSectionInfo* posting_ids = info->FindSection(kSecPostingIds);
+  ASSERT_NE(uniq, nullptr);
+  ASSERT_NE(posting_offsets, nullptr);
+  ASSERT_NE(posting_ids, nullptr);
+  EXPECT_EQ(posting_offsets->length, uniq->length + sizeof(uint64_t));
+  EXPECT_EQ(posting_ids->length, info->total_branches * sizeof(uint32_t));
   EXPECT_EQ(info->FindSection(kSecFpUnique) == nullptr,
             info->FindSection(kSecFpRep) == nullptr);
 }
@@ -130,12 +141,17 @@ TEST_F(ArenaColumnsTest, MappedColumnsMatchTheOnTheFlyBuild) {
     ASSERT_EQ(mapped.fp_keys[i], built.fp_keys[i]) << "key " << i;
   }
   EXPECT_EQ(mapped.exactness_certified(), built.certified);
-  if (built.certified) {
-    ASSERT_EQ(mapped.num_distinct, built.fp_unique.size());
-    for (size_t i = 0; i < built.fp_unique.size(); ++i) {
-      ASSERT_EQ(mapped.fp_unique[i], built.fp_unique[i]) << "entry " << i;
+  ASSERT_EQ(mapped.num_distinct, built.fp_unique.size());
+  for (size_t i = 0; i < built.fp_unique.size(); ++i) {
+    ASSERT_EQ(mapped.fp_unique[i], built.fp_unique[i]) << "entry " << i;
+    ASSERT_EQ(mapped.posting_offsets[i + 1], built.posting_offsets[i + 1])
+        << "entry " << i;
+    if (built.certified) {
       ASSERT_EQ(mapped.fp_rep[i], built.fp_rep[i]) << "entry " << i;
     }
+  }
+  for (size_t p = 0; p < built.posting_ids.size(); ++p) {
+    ASSERT_EQ(mapped.posting_ids[p], built.posting_ids[p]) << "posting " << p;
   }
   // The owned index materialises the same columns lazily.
   const CandidateColumns lazy = index_->columns();
@@ -160,7 +176,8 @@ TEST_F(ArenaColumnsTest, BitFlipInEachColumnSectionIsCaught) {
   GbdaIndexView::OpenOptions verify;
   verify.verify_checksums = true;
   for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys,
-                            kSecFpUnique, kSecFpRep}) {
+                            kSecFpUnique, kSecFpRep, kSecPostingOffsets,
+                            kSecPostingIds}) {
     const ArenaSectionInfo* sec = info->FindSection(id);
     if (sec == nullptr || sec->length == 0) continue;
     std::string corrupt = data;
@@ -216,7 +233,8 @@ TEST_F(ArenaColumnsTest, CrossSectionLiesAreRejectedAtEveryOpen) {
         << opened.status().message();
   }
   const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
-  if (uniq != nullptr && uniq->length >= 2 * sizeof(uint64_t)) {
+  ASSERT_NE(uniq, nullptr);
+  if (uniq->length >= 2 * sizeof(uint64_t)) {
     // fp_unique[1] := fp_unique[0]: breaks strict ascent.
     std::string corrupt = data;
     PatchU64(&corrupt, static_cast<size_t>(uniq->offset + sizeof(uint64_t)),
@@ -224,6 +242,7 @@ TEST_F(ArenaColumnsTest, CrossSectionLiesAreRejectedAtEveryOpen) {
     WriteFile(path, corrupt);
     Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
     ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(opened.status().message().find("fp_unique"), std::string::npos)
         << opened.status().message();
   }
@@ -238,41 +257,129 @@ TEST_F(ArenaColumnsTest, CrossSectionLiesAreRejectedAtEveryOpen) {
     EXPECT_NE(opened.status().message().find("fp_rep"), std::string::npos)
         << opened.status().message();
   }
+
+  // The postings. Each lie below would steer the count pass off its
+  // lists or past its scratch array, so each must fail a default open with
+  // a typed InvalidArgument naming the section.
+  const ArenaSectionInfo* posting_offsets =
+      info->FindSection(kSecPostingOffsets);
+  const ArenaSectionInfo* posting_ids = info->FindSection(kSecPostingIds);
+  ASSERT_NE(posting_offsets, nullptr);
+  ASSERT_NE(posting_ids, nullptr);
+  const uint64_t num_distinct = (posting_offsets->length / 8) - 1;
+  ASSERT_GE(num_distinct, 2u);
+  const auto offset_at = [&](uint64_t k) {
+    return static_cast<size_t>(posting_offsets->offset + k * 8);
+  };
+  const auto id_at = [&](uint64_t p) {
+    return static_cast<size_t>(posting_ids->offset + p * 4);
+  };
+  const auto expect_rejected = [&](const std::string& corrupt,
+                                   const std::string& section,
+                                   const std::string& what) {
+    WriteFile(path, corrupt);
+    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+    ASSERT_FALSE(opened.ok()) << what;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(opened.status().message().find(section), std::string::npos)
+        << what << ": " << opened.status().message();
+  };
+  {
+    // posting_offsets[1] := posting_offsets[2] + 1: not monotone.
+    std::string corrupt = data;
+    PatchU64(&corrupt, offset_at(1), ReadU64(corrupt, offset_at(2)) + 1);
+    expect_rejected(corrupt, "posting_offsets", "non-monotone offsets");
+  }
+  {
+    // The last offset stops one short of total_branches.
+    std::string corrupt = data;
+    PatchU64(&corrupt, offset_at(num_distinct), info->total_branches - 1);
+    expect_rejected(corrupt, "posting_offsets", "offsets end short");
+  }
+  {
+    // The final posting names graph num_graphs: one past the corpus.
+    std::string corrupt = data;
+    PatchU32(&corrupt, id_at(info->total_branches - 1),
+             static_cast<uint32_t>(info->num_graphs));
+    expect_rejected(corrupt, "posting_ids", "out-of-range id");
+  }
+  {
+    // Swap two distinct neighbours inside one list: a descending id.
+    std::string corrupt = data;
+    bool swapped = false;
+    for (uint64_t k = 0; k < num_distinct && !swapped; ++k) {
+      const uint64_t lo = ReadU64(corrupt, offset_at(k));
+      const uint64_t hi = ReadU64(corrupt, offset_at(k + 1));
+      for (uint64_t p = lo; p + 1 < hi && !swapped; ++p) {
+        uint32_t a, b;
+        std::memcpy(&a, corrupt.data() + id_at(p), sizeof(a));
+        std::memcpy(&b, corrupt.data() + id_at(p + 1), sizeof(b));
+        if (a == b) continue;
+        PatchU32(&corrupt, id_at(p), b);
+        PatchU32(&corrupt, id_at(p + 1), a);
+        swapped = true;
+      }
+    }
+    ASSERT_TRUE(swapped);
+    expect_rejected(corrupt, "posting_ids", "descending id");
+  }
 }
 
 TEST_F(ArenaColumnsTest, PartialColumnGroupIsRejected) {
-  // Relabeling only fp_keys to an unknown id leaves graph_sizes/fp_offsets
-  // without it: every column section is mandatory, so the open names the
-  // missing one.
-  std::string corrupt = ReadFile(*arena_path_);
-  Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
+  // Relabeling a trailing run of column sections to unknown ids leaves the
+  // rest of the group without them: every column section but fp_rep is
+  // mandatory, so the open names exactly the missing ones.
+  const std::string data = ReadFile(*arena_path_);
+  Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok());
-  // Relabel fp_keys and everything after it (keeping ids ascending so the
-  // ordering check stays quiet and the group check is what fires).
-  uint32_t next_id = 42;
-  bool relabeling = false;
-  for (size_t s = 0; s < info->sections.size(); ++s) {
-    if (info->sections[s].id == kSecFpKeys) relabeling = true;
-    if (!relabeling) continue;
-    const size_t id_at = kArenaPreambleBytes + kArenaMetaScalarBytes +
-                         s * kArenaSectionEntryBytes;
-    PatchU32(&corrupt, id_at, next_id++);
+  // Relabels section `first_id` and everything after it (keeping ids
+  // ascending so the ordering check stays quiet and the group check is
+  // what fires), then re-CRCs the edited header so the group check (not
+  // the meta checksum) is what rejects the artifact.
+  const auto relabel_from = [&](uint32_t first_id) {
+    std::string corrupt = data;
+    uint32_t next_id = 42;
+    bool relabeling = false;
+    for (size_t s = 0; s < info->sections.size(); ++s) {
+      if (info->sections[s].id == first_id) relabeling = true;
+      if (!relabeling) continue;
+      const size_t id_at = kArenaPreambleBytes + kArenaMetaScalarBytes +
+                           s * kArenaSectionEntryBytes;
+      PatchU32(&corrupt, id_at, next_id++);
+    }
+    EXPECT_TRUE(relabeling);
+    uint32_t section_count = 0;
+    std::memcpy(&section_count, corrupt.data() + 12, sizeof(section_count));
+    PatchU32(&corrupt, 24,
+             Crc32(corrupt.data() + kArenaPreambleBytes,
+                   ArenaHeaderBytes(section_count) - kArenaPreambleBytes));
+    return corrupt;
+  };
+  {
+    Result<ArenaInfo> parsed =
+        ParseArenaHeader(relabel_from(kSecFpKeys), "partial");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("fp_keys"), std::string::npos)
+        << parsed.status().message();
+    EXPECT_EQ(parsed.status().message().find("graph_sizes"),
+              std::string::npos)
+        << parsed.status().message();
   }
-  ASSERT_TRUE(relabeling);
-  // Re-CRC the edited header so the group check (not the meta checksum) is
-  // what rejects the artifact.
-  uint32_t section_count = 0;
-  std::memcpy(&section_count, corrupt.data() + 12, sizeof(section_count));
-  PatchU32(&corrupt, 24,
-           Crc32(corrupt.data() + kArenaPreambleBytes,
-                 ArenaHeaderBytes(section_count) - kArenaPreambleBytes));
-  Result<ArenaInfo> parsed = ParseArenaHeader(corrupt, "partial");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(parsed.status().message().find("fp_keys"), std::string::npos)
-      << parsed.status().message();
-  EXPECT_EQ(parsed.status().message().find("graph_sizes"), std::string::npos)
-      << parsed.status().message();
+  {
+    // Shaped like an arena written before the postings existed: the open
+    // fails naming both posting sections, and nothing else.
+    Result<ArenaInfo> parsed =
+        ParseArenaHeader(relabel_from(kSecPostingOffsets), "no postings");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = parsed.status().message();
+    EXPECT_NE(message.find("posting_offsets"), std::string::npos) << message;
+    EXPECT_NE(message.find("posting_ids"), std::string::npos) << message;
+    EXPECT_NE(message.find("rebuild"), std::string::npos) << message;
+    EXPECT_EQ(message.find("fp_keys"), std::string::npos) << message;
+    EXPECT_EQ(message.find("fp_unique"), std::string::npos) << message;
+  }
 }
 
 }  // namespace

@@ -30,9 +30,9 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Overwrites meta scalar `index` (0 = tau_max; see BuildArena's field order)
-// and re-seals the header CRC, so the edit reaches the plausibility and
-// cross-section checks instead of tripping the always-on meta checksum.
+// Overwrites meta scalar `index` (0 = tau_max; see WriteArenaFile's field
+// order) and re-seals the header CRC, so the edit reaches the plausibility
+// and cross-section checks instead of tripping the always-on meta checksum.
 std::string PatchMetaScalar(const std::string& data, size_t index,
                             int64_t value) {
   std::string out = data;
@@ -217,7 +217,7 @@ TEST_F(StorageTest, ArenaHeaderInspection) {
 TEST_F(StorageTest, ArenaFromViewIsStable) {
   // Writing an arena FROM a mapped view reproduces the section table and
   // every branch and candidate-column section byte-for-byte (ids 1..4 and
-  // 8..12, compared through their CRCs). The prior blobs (5, 6) are exempt:
+  // 8..14, compared through their CRCs). The prior blobs (5, 6) are exempt:
   // the GED prior may reorder its cached rows.
   Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(view.ok());
@@ -230,7 +230,7 @@ TEST_F(StorageTest, ArenaFromViewIsStable) {
   ASSERT_TRUE(info_a.ok());
   ASSERT_TRUE(info_b.ok());
   ASSERT_EQ(info_a->sections.size(), info_b->sections.size());
-  ASSERT_NE(info_a->FindSection(kSecFpUnique), nullptr)
+  ASSERT_NE(info_a->FindSection(kSecFpRep), nullptr)
       << "fixture corpus must certify fingerprint exactness";
   for (size_t s = 0; s < info_a->sections.size(); ++s) {
     const ArenaSectionInfo& sec_a = info_a->sections[s];

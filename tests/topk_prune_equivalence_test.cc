@@ -6,11 +6,16 @@
 // Only SearchResult::pruned_by_bound may differ (it is timing-dependent
 // under sharding), so it is deliberately excluded. Mirrors the structure of
 // index_view_equivalence_test.cc: variants x prefilter x shards {1, 2, 7}
-// x k in {1, 10, corpus, > corpus}.
+// x k in {1, 10, corpus, > corpus}, over two indexes of one corpus: without
+// model label counts every Phi is 0, so the witness prunes through its gbd
+// half only; with them the k-th best Phi is non-zero and the phi half of
+// the witness is exercised too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/gbda_index.h"
@@ -60,10 +65,30 @@ class TopKPruneEquivalenceTest : public ::testing::Test {
     Result<GbdaIndex> index = GbdaIndex::Build(dataset_->db, options);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = new GbdaIndex(std::move(*index));
+
+    // A corpus under its own label model (the input
+    // gamma_prune_equivalence_test uses): real posterior mass, so the k-th
+    // best Phi — the phi half of the witness — is non-zero.
+    DatasetProfile model_profile = FingerprintProfile(0.05);
+    Result<GeneratedDataset> model_ds = GenerateDataset(model_profile);
+    ASSERT_TRUE(model_ds.ok()) << model_ds.status().ToString();
+    model_dataset_ = new GeneratedDataset(std::move(*model_ds));
+    options.model_vertex_labels =
+        static_cast<int64_t>(model_profile.num_vertex_labels);
+    options.model_edge_labels =
+        static_cast<int64_t>(model_profile.num_edge_labels);
+    Result<GbdaIndex> model_index =
+        GbdaIndex::Build(model_dataset_->db, options);
+    ASSERT_TRUE(model_index.ok()) << model_index.status().ToString();
+    model_index_ = new GbdaIndex(std::move(*model_index));
   }
   static void TearDownTestSuite() {
+    delete model_index_;
+    delete model_dataset_;
     delete index_;
     delete dataset_;
+    model_index_ = nullptr;
+    model_dataset_ = nullptr;
     index_ = nullptr;
     dataset_ = nullptr;
   }
@@ -72,54 +97,50 @@ class TopKPruneEquivalenceTest : public ::testing::Test {
     return {1, 10, corpus, corpus + 7};
   }
 
+  /// The corpora the equivalence sweeps run over, labelled for messages.
+  struct Fixture {
+    std::string name;
+    const GeneratedDataset* data;
+    const GbdaIndex* index;
+  };
+  static std::vector<Fixture> Fixtures() {
+    return {{"aids", dataset_, index_},
+            {"fingerprint-model-labels", model_dataset_, model_index_}};
+  }
+
   static GeneratedDataset* dataset_;
   static GbdaIndex* index_;
+  static GeneratedDataset* model_dataset_;
+  static GbdaIndex* model_index_;
 };
 
 GeneratedDataset* TopKPruneEquivalenceTest::dataset_ = nullptr;
 GbdaIndex* TopKPruneEquivalenceTest::index_ = nullptr;
+GeneratedDataset* TopKPruneEquivalenceTest::model_dataset_ = nullptr;
+GbdaIndex* TopKPruneEquivalenceTest::model_index_ = nullptr;
 
-TEST_F(TopKPruneEquivalenceTest, SerialPrunedMatchesSerialExhaustive) {
-  GbdaSearch search(&dataset_->db, index_);
-  const size_t num_queries = std::min<size_t>(dataset_->queries.size(), 4);
-  for (GbdaVariant variant :
-       {GbdaVariant::kStandard, GbdaVariant::kAverageSize,
-        GbdaVariant::kWeightedGbd}) {
-    for (bool prefilter : {false, true}) {
-      SearchOptions exhaustive;
-      exhaustive.tau_hat = 6;
-      exhaustive.variant = variant;
-      exhaustive.use_prefilter = prefilter;
-      exhaustive.topk_early_termination = false;
-      SearchOptions pruned = exhaustive;
-      pruned.topk_early_termination = true;
-      for (size_t k : TestKs(dataset_->db.size())) {
-        for (size_t q = 0; q < num_queries; ++q) {
-          const std::string label =
-              "variant=" + std::to_string(static_cast<int>(variant)) +
-              " prefilter=" + std::to_string(prefilter) +
-              " k=" + std::to_string(k) + " query=" + std::to_string(q);
-          Result<SearchResult> a =
-              search.QueryTopK(dataset_->queries[q], k, exhaustive);
-          Result<SearchResult> b =
-              search.QueryTopK(dataset_->queries[q], k, pruned);
-          ASSERT_TRUE(a.ok()) << label << ": " << a.status().ToString();
-          ASSERT_TRUE(b.ok()) << label << ": " << b.status().ToString();
-          ExpectSameResult(*a, *b, label);
-        }
-      }
-    }
+TEST_F(TopKPruneEquivalenceTest, ModelLabelFixtureGivesNonZeroPhiWitnesses) {
+  // Guard the phi half of the coverage: on the model-label fixture the
+  // exhaustive k-th best Phi at k = 10 is non-zero for every swept query,
+  // so the pruned scans below meet non-zero phi witnesses.
+  GbdaSearch model(&model_dataset_->db, model_index_);
+  SearchOptions exhaustive;
+  exhaustive.tau_hat = 6;
+  exhaustive.topk_early_termination = false;
+  for (size_t q = 0; q < std::min<size_t>(model_dataset_->queries.size(), 4);
+       ++q) {
+    Result<SearchResult> r =
+        model.QueryTopK(model_dataset_->queries[q], 10, exhaustive);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->matches.size(), 10u);
+    EXPECT_GT(r->matches.back().phi_score, 0.0) << "query " << q;
   }
 }
 
-TEST_F(TopKPruneEquivalenceTest, ShardedPrunedMatchesSerialExhaustive) {
-  GbdaSearch exhaustive_serial(&dataset_->db, index_);
-  const size_t num_queries = std::min<size_t>(dataset_->queries.size(), 3);
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{7}}) {
-    ServiceOptions service_options;
-    service_options.num_threads = 3;
-    service_options.num_shards = shards;
-    GbdaService service(&dataset_->db, index_, service_options);
+TEST_F(TopKPruneEquivalenceTest, SerialPrunedMatchesSerialExhaustive) {
+  for (const Fixture& f : Fixtures()) {
+    GbdaSearch search(&f.data->db, f.index);
+    const size_t num_queries = std::min<size_t>(f.data->queries.size(), 4);
     for (GbdaVariant variant :
          {GbdaVariant::kStandard, GbdaVariant::kAverageSize,
           GbdaVariant::kWeightedGbd}) {
@@ -131,20 +152,63 @@ TEST_F(TopKPruneEquivalenceTest, ShardedPrunedMatchesSerialExhaustive) {
         exhaustive.topk_early_termination = false;
         SearchOptions pruned = exhaustive;
         pruned.topk_early_termination = true;
-        for (size_t k : TestKs(dataset_->db.size())) {
+        for (size_t k : TestKs(f.data->db.size())) {
           for (size_t q = 0; q < num_queries; ++q) {
             const std::string label =
-                "shards=" + std::to_string(shards) + " variant=" +
-                std::to_string(static_cast<int>(variant)) + " prefilter=" +
-                std::to_string(prefilter) + " k=" + std::to_string(k) +
-                " query=" + std::to_string(q);
-            Result<SearchResult> reference = exhaustive_serial.QueryTopK(
-                dataset_->queries[q], k, exhaustive);
-            Result<SearchResult> got =
-                service.QueryTopK(dataset_->queries[q], k, pruned);
-            ASSERT_TRUE(reference.ok()) << label;
-            ASSERT_TRUE(got.ok()) << label;
-            ExpectSameResult(*reference, *got, label);
+                f.name + " variant=" +
+                std::to_string(static_cast<int>(variant)) +
+                " prefilter=" + std::to_string(prefilter) +
+                " k=" + std::to_string(k) + " query=" + std::to_string(q);
+            Result<SearchResult> a =
+                search.QueryTopK(f.data->queries[q], k, exhaustive);
+            Result<SearchResult> b =
+                search.QueryTopK(f.data->queries[q], k, pruned);
+            ASSERT_TRUE(a.ok()) << label << ": " << a.status().ToString();
+            ASSERT_TRUE(b.ok()) << label << ": " << b.status().ToString();
+            ExpectSameResult(*a, *b, label);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(TopKPruneEquivalenceTest, ShardedPrunedMatchesSerialExhaustive) {
+  for (const Fixture& f : Fixtures()) {
+    GbdaSearch exhaustive_serial(&f.data->db, f.index);
+    const size_t num_queries = std::min<size_t>(f.data->queries.size(), 3);
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{7}}) {
+      ServiceOptions service_options;
+      service_options.num_threads = 3;
+      service_options.num_shards = shards;
+      GbdaService service(&f.data->db, f.index, service_options);
+      for (GbdaVariant variant :
+           {GbdaVariant::kStandard, GbdaVariant::kAverageSize,
+            GbdaVariant::kWeightedGbd}) {
+        for (bool prefilter : {false, true}) {
+          SearchOptions exhaustive;
+          exhaustive.tau_hat = 6;
+          exhaustive.variant = variant;
+          exhaustive.use_prefilter = prefilter;
+          exhaustive.topk_early_termination = false;
+          SearchOptions pruned = exhaustive;
+          pruned.topk_early_termination = true;
+          for (size_t k : TestKs(f.data->db.size())) {
+            for (size_t q = 0; q < num_queries; ++q) {
+              const std::string label =
+                  f.name + " shards=" + std::to_string(shards) +
+                  " variant=" + std::to_string(static_cast<int>(variant)) +
+                  " prefilter=" +
+                  std::to_string(prefilter) + " k=" + std::to_string(k) +
+                  " query=" + std::to_string(q);
+              Result<SearchResult> reference = exhaustive_serial.QueryTopK(
+                  f.data->queries[q], k, exhaustive);
+              Result<SearchResult> got =
+                  service.QueryTopK(f.data->queries[q], k, pruned);
+              ASSERT_TRUE(reference.ok()) << label;
+              ASSERT_TRUE(got.ok()) << label;
+              ExpectSameResult(*reference, *got, label);
+            }
           }
         }
       }
@@ -153,27 +217,29 @@ TEST_F(TopKPruneEquivalenceTest, ShardedPrunedMatchesSerialExhaustive) {
 }
 
 TEST_F(TopKPruneEquivalenceTest, BatchedTopKMatchesPerQueryResults) {
-  ServiceOptions service_options;
-  service_options.num_threads = 3;
-  service_options.num_shards = 7;
-  GbdaService service(&dataset_->db, index_, service_options);
-  SearchOptions exhaustive;
-  exhaustive.tau_hat = 6;
-  exhaustive.topk_early_termination = false;
-  SearchOptions pruned = exhaustive;
-  pruned.topk_early_termination = true;
-  for (size_t k : TestKs(dataset_->db.size())) {
-    Result<std::vector<SearchResult>> batch =
-        service.QueryTopKBatch(dataset_->queries, k, pruned);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->size(), dataset_->queries.size());
-    for (size_t q = 0; q < dataset_->queries.size(); ++q) {
-      Result<SearchResult> reference =
-          service.QueryTopK(dataset_->queries[q], k, exhaustive);
-      ASSERT_TRUE(reference.ok());
-      ExpectSameResult(*reference, (*batch)[q],
-                       "k=" + std::to_string(k) + " batch query " +
-                           std::to_string(q));
+  for (const Fixture& f : Fixtures()) {
+    ServiceOptions service_options;
+    service_options.num_threads = 3;
+    service_options.num_shards = 7;
+    GbdaService service(&f.data->db, f.index, service_options);
+    SearchOptions exhaustive;
+    exhaustive.tau_hat = 6;
+    exhaustive.topk_early_termination = false;
+    SearchOptions pruned = exhaustive;
+    pruned.topk_early_termination = true;
+    for (size_t k : TestKs(f.data->db.size())) {
+      Result<std::vector<SearchResult>> batch =
+          service.QueryTopKBatch(f.data->queries, k, pruned);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch->size(), f.data->queries.size());
+      for (size_t q = 0; q < f.data->queries.size(); ++q) {
+        Result<SearchResult> reference =
+            service.QueryTopK(f.data->queries[q], k, exhaustive);
+        ASSERT_TRUE(reference.ok());
+        ExpectSameResult(*reference, (*batch)[q],
+                         f.name + " k=" + std::to_string(k) +
+                             " batch query " + std::to_string(q));
+      }
     }
   }
 }
@@ -275,8 +341,7 @@ TEST_F(TopKPruneEquivalenceTest, PhiSuffixMaxBoundsPhiAndEndsSupport) {
 TEST_F(TopKPruneEquivalenceTest, CommonBranchUpperBoundIsAdmissible) {
   // The fingerprint intersection must never undercount the true branch
   // intersection (undercounting would overstate the GBD lower bound and
-  // break soundness), and the capped decision form must agree with the
-  // counting form at every cap.
+  // break soundness).
   const size_t n = std::min<size_t>(dataset_->db.size(), 12);
   std::vector<FilterProfile> profiles;
   std::vector<BranchMultiset> branches;
@@ -292,12 +357,6 @@ TEST_F(TopKPruneEquivalenceTest, CommonBranchUpperBoundIsAdmissible) {
       EXPECT_GE(bound, truth) << "pair " << i << "," << j;
       EXPECT_LE(bound, static_cast<int64_t>(std::min(
                            branches[i].size(), branches[j].size())));
-      for (int64_t cap : {int64_t{-1}, int64_t{0}, truth - 1, truth,
-                          truth + 1, bound, bound + 3}) {
-        EXPECT_EQ(CommonBranchUpperBoundAtMost(profiles[i], profiles[j], cap),
-                  bound <= cap)
-            << "pair " << i << "," << j << " cap=" << cap;
-      }
     }
   }
 }

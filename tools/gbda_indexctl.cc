@@ -274,12 +274,14 @@ int RunInspect(const std::string& path) {
         sec.crc32, s + 1 < info->sections.size() ? "," : "");
   }
   std::printf("  ]");
+  // ParseArenaHeader guarantees the mandatory column sections.
   const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
   std::printf(
       ",\n  \"columns\": {\"graph_sizes\": true, \"fp_keys\": true, "
-      "\"exactness_directory\": %s, \"num_distinct_fingerprints\": %llu}",
-      uniq != nullptr ? "true" : "false",
-      static_cast<unsigned long long>(uniq != nullptr ? uniq->length / 8 : 0));
+      "\"postings\": true, \"exactness_directory\": %s, "
+      "\"num_distinct_fingerprints\": %llu}",
+      info->FindSection(kSecFpRep) != nullptr ? "true" : "false",
+      static_cast<unsigned long long>(uniq->length / 8));
   if (const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph)) {
     Result<ProximityGraphRef> graph = ParseProximityGraphSection(
         mapped->data() + sec->offset, static_cast<size_t>(sec->length),
