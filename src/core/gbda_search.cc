@@ -200,38 +200,22 @@ namespace {
 /// A candidate's common-count cap when no prefix walk bounds it.
 constexpr int64_t kNoCap = std::numeric_limits<int64_t>::max();
 
-/// The common-branch counts of every id in [begin, end) from one postings
-/// pass (CountCommonBranches), in a per-worker scratch array indexed by
-/// id - begin. Overwritten by this thread's next call; safe because no scan
-/// runs nested inside another on one thread.
-const uint32_t* RangeCommonCounts(const ScanContext& ctx,
-                                  const CandidateColumns& columns,
-                                  size_t begin, size_t end) {
-  thread_local std::vector<uint32_t> scratch;
-  scratch.resize(end - begin);
-  CountCommonBranches(columns, ctx.query_fps.data(), ctx.query_fps.size(),
-                      begin, end, scratch.data());
-  return scratch.data();
-}
-
 /// The two id sequences the shared evaluation loop runs over: a contiguous
-/// [begin, begin + count) range (ScanRange without a prefix walk) and an
-/// explicit candidate list (ScanCandidateList, the verification half of
-/// approximate mode, and the candidates a prefix walk touched). Both are
-/// trivial index adapters so the loop below compiles to the same code the
-/// plain range scan had. Each also supplies the candidates' fingerprint
-/// common-branch counts — intersect_count(query_fps, fp_keys(id)), the one
-/// number tier 2 and the fp-exact scoring need — in the way that suits its
-/// shape, and a cap on each count known before any is read (kNoCap when
-/// none).
+/// [begin, begin + count) range (ScanRange) and an explicit candidate list
+/// (ScanCandidateList, the verification half of approximate mode, and the
+/// candidates a gamma cut's prefix walk touched). Both are trivial index
+/// adapters so the loop below compiles to the same code the plain range
+/// scan had. Each also supplies the candidates' fingerprint common-branch
+/// counts — intersect_count(query_fps, fp_keys(id)), the one number tier 2
+/// and the fp-exact scoring need — in the way that suits its shape, and a
+/// cap on each count known before any is read (kCapped sequences only;
+/// kNoCap when none).
 struct ContiguousIds {
+  static constexpr bool kCapped = false;
   size_t begin;
   size_t count;
   size_t size() const { return count; }
   size_t operator[](size_t i) const { return begin + i; }
-  int64_t common_cap(size_t /*i*/) const { return kNoCap; }
-  int64_t known_count(size_t /*i*/) const { return -1; }
-  bool walked() const { return false; }
 
   /// A whole range pays one postings pass (CountCommonBranches) into a
   /// per-worker scratch array; a count is then one load.
@@ -242,26 +226,25 @@ struct ContiguousIds {
   };
   Counts CommonCounts(const ScanContext& ctx, const CandidateColumns& columns,
                       const ScanKernels& /*kernels*/) const {
-    return Counts{RangeCommonCounts(ctx, columns, begin, begin + count),
-                  begin};
+    // Overwritten by this thread's next range scan; safe because no scan
+    // runs nested inside another on one thread.
+    thread_local std::vector<uint32_t> scratch;
+    scratch.resize(count);
+    CountCommonBranches(columns, ctx.query_fps.data(), ctx.query_fps.size(),
+                        begin, begin + count, scratch.data());
+    return Counts{scratch.data(), begin};
   }
 };
 
 struct ListedIds {
+  static constexpr bool kCapped = true;
   const uint32_t* ids;
   size_t count;
-  /// Per-id common-count caps from a prefix walk (PostingWalk), or null;
-  /// `exact` when each cap is the count itself.
+  /// Per-id common-count caps from a prefix walk (WalkPrefix), or null.
   const uint32_t* caps = nullptr;
-  bool exact = false;
   size_t size() const { return count; }
   size_t operator[](size_t i) const { return ids[i]; }
   int64_t common_cap(size_t i) const { return caps ? caps[i] : kNoCap; }
-  int64_t known_count(size_t i) const {
-    return exact ? static_cast<int64_t>(caps[i]) : -1;
-  }
-  /// A prefix walk's ids: a ranking scan gets them best bound first.
-  bool walked() const { return caps != nullptr; }
 
   /// A short list (about a navigation window, or what a prefix walk
   /// touched) merges per candidate: a postings pass would walk the whole
@@ -285,82 +268,7 @@ struct ListedIds {
   }
 };
 
-/// What one ScanRange / ScanCandidateList call keeps across the id
-/// sequences it evaluates: the pruning mode, the local top-k heap and the
-/// scan-local Phi caches.
-struct ScanState {
-  ScanState(const ScanContext& ctx, ScanBounds* scan_bounds)
-      : options(ctx.options),
-        bounds(scan_bounds),
-        // Bound pruning (see SearchOptions::topk_early_termination). The
-        // ctx flag is part of both guards, so a context prepared with
-        // topk_early_termination off always scans exhaustively.
-        rank_prune(scan_bounds != nullptr && !ctx.apply_gamma &&
-                   scan_bounds->k() > 0 && ctx.options.topk_early_termination),
-        gamma_prune(ctx.apply_gamma && ctx.options.gamma > 0.0 &&
-                    ctx.options.topk_early_termination),
-        local_topk(&WitnessRankBefore) {}
-
-  /// The witness a candidate must not rank strictly after. A threshold
-  /// scan's is the constant (gamma, +inf gbd): "strictly worse" is then
-  /// exactly Phi_ub < gamma, i.e. Step 4 would reject. A ranking scan's is
-  /// the stronger of the local k-th best and the cross-shard one: strictly
-  /// worse than the stronger one is the OR of strictly worse than either
-  /// (the rank order is total), so one comparison covers both. No witness
-  /// (phi = -inf) when neither exists yet.
-  ScanWitness Witness() const {
-    ScanWitness witness;
-    if (gamma_prune) {
-      witness.phi = options.gamma;
-    } else if (rank_prune) {
-      witness = bounds->witness();
-      if (local_topk.size() >= bounds->k() &&
-          WitnessRankBefore(local_topk.top(), witness)) {
-        witness = local_topk.top();
-      }
-    }
-    return witness;
-  }
-
-  const SearchOptions& options;
-  ScanBounds* bounds;
-  const bool rank_prune;
-  const bool gamma_prune;
-  // The k best (phi_score, gbd, id) triples appended by THIS call under
-  // WitnessRankBefore; priority_queue's root is then the worst retained
-  // one, i.e. the local k-th best. Keeping gbd alongside phi lets the bound
-  // prune through the tie-break too — essential when the k-th best
-  // phi_score is exactly 0 (more ranks requested than candidates with
-  // posterior mass), where a phi-only threshold could never prune. Only
-  // full heaps yield witnesses, so a shard with fewer than k candidates
-  // never publishes.
-  std::priority_queue<ScanWitness, std::vector<ScanWitness>,
-                      decltype(&WitnessRankBefore)>
-      local_topk;
-  // Scan-local copies of the per-size Phi suffix-max tables, so the
-  // per-candidate bound check never takes an engine mutex round trip (same
-  // reasoning as local_phi below). Tables are tiny: min(v, 2 * tau_hat) + 1
-  // doubles. Keyed by extended size v; owns the storage the per-size
-  // arrays below point into (node-based map: stable value addresses).
-  std::unordered_map<int64_t, std::vector<double>> local_suffix_max;
-  // Everything tier 1 needs is determined by the candidate's multiset size
-  // alone (the query side is fixed), so it is computed once per distinct
-  // size and the per-candidate check collapses to two array loads and two
-  // compares. tier1_lb[s] == -1 marks an uncomputed slot.
-  std::vector<int64_t> tier1_lb;
-  std::vector<double> tier1_ub;
-  std::vector<const std::vector<double>*> table_by_size;
-  // Scan-local Phi cache. tau_hat is fixed for the whole scan, so (v, phi)
-  // keys the posterior value; a database scan repeats the same few hundred
-  // pairs thousands of times, and answering repeats here — without the
-  // engine's mutex + global-map round trip — is what keeps the per-candidate
-  // cost near the branch intersection itself. Pure memoisation of a
-  // deterministic function: results stay bit-identical, per shard and
-  // serially (the engine's own cross-query memo is unchanged).
-  std::unordered_map<uint64_t, double> local_phi;
-};
-
-/// One evaluation loop for every entry point: candidate admission, the
+/// One evaluation loop for both entry points: candidate admission, the
 /// two-tier early-termination bound, the branch-merge + posterior scoring
 /// and the witness bookkeeping are shared verbatim, so a match appended for
 /// id X is bit-identical whichever sequence listed X — the property
@@ -369,7 +277,7 @@ template <typename IdSeq>
 Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                       const Prefilter* prefilter, const IdSeq& id_seq,
                       PosteriorEngine* posterior, SearchResult* result,
-                      ScanState* state) {
+                      ScanBounds* bounds) {
   const SearchOptions& options = ctx.options;
   const BranchSetRef& query_branches = ctx.query_ref;
   const size_t range = id_seq.size();
@@ -384,13 +292,40 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // context paired with a different backing than it was prepared against
   // (it can only disable, never wrongly enable).
   const bool fp_exact = ctx.fp_exact && columns.exactness_certified();
-  const bool rank_prune = state->rank_prune;
-  ScanBounds* const bounds = state->bounds;
-  auto& local_topk = state->local_topk;
-  auto& tier1_lb = state->tier1_lb;
-  auto& tier1_ub = state->tier1_ub;
-  auto& table_by_size = state->table_by_size;
-  auto& local_phi = state->local_phi;
+  // Bound pruning (see SearchOptions::topk_early_termination). A threshold
+  // scan's witness is the constant (gamma, +inf gbd): "strictly worse" is
+  // then exactly Phi_ub < gamma, i.e. Step 4 would reject. A ranking scan's
+  // witness is the stronger of the local k-th best and the cross-shard one.
+  // The ctx flag is part of both guards, so a context prepared with
+  // topk_early_termination off always scans exhaustively.
+  const bool rank_prune = bounds != nullptr && !ctx.apply_gamma &&
+                          bounds->k() > 0 && options.topk_early_termination;
+  const bool gamma_prune = ctx.apply_gamma && options.gamma > 0.0 &&
+                           options.topk_early_termination;
+  // The k best (phi_score, gbd) pairs appended by THIS call under
+  // WitnessRankBefore (ids never matter: pruning tests are strictly-worse
+  // only); priority_queue's root is then the worst retained pair, i.e. the
+  // local k-th best. Keeping gbd alongside phi lets the bound prune through
+  // the tie-break too — essential when the k-th best phi_score is exactly 0
+  // (more ranks requested than candidates with posterior mass), where a
+  // phi-only threshold could never prune. Only full heaps yield witnesses,
+  // so a shard with fewer than k candidates never publishes.
+  std::priority_queue<ScanWitness, std::vector<ScanWitness>,
+                      decltype(&WitnessRankBefore)>
+      local_topk(&WitnessRankBefore);
+  // Scan-local copies of the per-size Phi suffix-max tables, so the
+  // per-candidate bound check never takes an engine mutex round trip (same
+  // reasoning as local_phi below). Tables are tiny: min(v, 2 * tau_hat) + 1
+  // doubles. Keyed by extended size v; owns the storage the per-size
+  // arrays below point into (node-based map: stable value addresses).
+  std::unordered_map<int64_t, std::vector<double>> local_suffix_max;
+  // Everything tier 1 needs is determined by the candidate's multiset size
+  // alone (the query side is fixed), so it is computed once per distinct
+  // size and the per-candidate check collapses to two array loads and two
+  // compares. tier1_lb[s] == -1 marks an uncomputed slot.
+  std::vector<int64_t> tier1_lb;
+  std::vector<double> tier1_ub;
+  std::vector<const std::vector<double>*> table_by_size;
   // Only the no-gamma, no-prefilter scan has a known match count (every
   // candidate); under the gamma cut or the prefilter the accepted set is
   // small in real workloads, so a modest reservation avoids the early
@@ -400,6 +335,14 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
           ? range
           : std::min<size_t>(range, 64);
   result->matches.reserve(result->matches.size() + expected);
+  // Scan-local Phi cache. tau_hat is fixed for the whole scan, so (v, phi)
+  // keys the posterior value; a database scan repeats the same few hundred
+  // pairs thousands of times, and answering repeats here — without the
+  // engine's mutex + global-map round trip — is what keeps the per-candidate
+  // cost near the branch intersection itself. Pure memoisation of a
+  // deterministic function: results stay bit-identical, per shard and
+  // serially (the engine's own cross-query memo is unchanged).
+  std::unordered_map<uint64_t, double> local_phi;
 
   // The candidate's phi can only land at or above the phi_lb derived from
   // a common-branch UPPER bound: GBD (and, for w >= 0, the rounded VGBD —
@@ -432,7 +375,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // an fp_exact scan. Read by tier 2 and by fp-exact scoring, so an
   // exhaustive scan that scores by branch merges skips the range pass.
   typename IdSeq::Counts common_of{};
-  if (rank_prune || state->gamma_prune || fp_exact) {
+  if (rank_prune || gamma_prune || fp_exact) {
     common_of = id_seq.CommonCounts(ctx, columns, kernels);
   }
 
@@ -477,14 +420,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   for (size_t base = 0; base < range;
        block_size = std::min(kScanBlockMax, block_size * 2)) {
     const size_t block_begin = base;
-    // A walked ranking sequence comes best bound first: while the local
-    // heap is short, a block ends where the heap would fill, so the local
-    // witness arms on the k-th best candidate instead of a block later.
-    size_t width = block_size;
-    if (rank_prune && id_seq.walked() && local_topk.size() < bounds->k()) {
-      width = std::min(width, bounds->k() - local_topk.size());
-    }
-    const size_t block_end = std::min(range, base + width);
+    const size_t block_end = std::min(range, base + block_size);
     base = block_end;
     // -- Stage A: admission ------------------------------------------------
     blk_ids.clear();
@@ -499,15 +435,30 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       // counter stays bit-identical to the exhaustive scan (see
       // SearchResult).
       ++result->candidates_evaluated;
-      blk_common[blk_ids.size()] = id_seq.known_count(i);
-      blk_cap[blk_ids.size()] = id_seq.common_cap(i);
+      blk_common[blk_ids.size()] = -1;
+      if constexpr (IdSeq::kCapped) {
+        blk_cap[blk_ids.size()] = id_seq.common_cap(i);
+      }
       blk_ids.push_back(id);
     }
     if (blk_ids.empty()) continue;
     const size_t admitted = blk_ids.size();
 
     // -- Stage B: batched bounds under the block-frozen witness ------------
-    const ScanWitness witness = state->Witness();
+    // The witness of this block: the constant gamma cut, or the stronger
+    // of the local k-th best and the cross-shard witness. Strictly worse
+    // than the stronger one is the OR of strictly worse than either (the
+    // rank order is total), so one comparison covers both.
+    ScanWitness witness;
+    if (gamma_prune) {
+      witness.phi = options.gamma;
+    } else if (rank_prune) {
+      witness = bounds->witness();
+      if (local_topk.size() >= bounds->k() &&
+          WitnessRankBefore(local_topk.top(), witness)) {
+        witness = local_topk.top();
+      }
+    }
     const bool do_prune =
         witness.phi > -std::numeric_limits<double>::infinity();
     if (do_prune) {
@@ -524,23 +475,17 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       // True when the candidate provably ranks strictly after the witness
       // under SearchMatchRankBefore: its best reachable phi_score is
       // strictly below the witness phi, or ties it while its gbd can only
-      // be strictly larger, or can only tie that too while its id is
-      // larger. A tie in both with an unknown witness id (the shared
-      // witness) must be evaluated.
-      const auto strictly_worse = [&](double phi_ub, int64_t phi_lb,
-                                      size_t id) {
+      // be strictly larger. Ties in both must be evaluated — the id
+      // tie-break is not bounded.
+      const auto strictly_worse = [&](double phi_ub, int64_t phi_lb) {
         return phi_ub < witness.phi ||
-               (phi_ub == witness.phi &&
-                (phi_lb > witness.gbd ||
-                 (phi_lb == witness.gbd && id > witness.graph_id)));
+               (phi_ub == witness.phi && phi_lb > witness.gbd);
       };
       for (size_t j = 0; j < admitted; ++j) {
         blk_keep[j] = 1;
         const size_t g_size = blk_sizes[j];
         const int64_t max_size =
             static_cast<int64_t>(std::max(query_branches.size(), g_size));
-        const int64_t min_size =
-            static_cast<int64_t>(std::min(query_branches.size(), g_size));
         if (g_size >= tier1_lb.size()) {
           tier1_lb.resize(g_size + 1, -1);
           tier1_ub.resize(g_size + 1, 0.0);
@@ -553,22 +498,24 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
           const int64_t v = options.variant == GbdaVariant::kAverageSize
                                 ? ctx.v1_size
                                 : std::max<int64_t>(1, max_size);
-          auto table_it = state->local_suffix_max.find(v);
-          if (table_it == state->local_suffix_max.end()) {
+          auto table_it = local_suffix_max.find(v);
+          if (table_it == local_suffix_max.end()) {
             Result<std::vector<double>> table =
                 posterior->PhiSuffixMax(v, options.tau_hat);
             if (!table.ok()) return table.status();
-            table_it =
-                state->local_suffix_max.emplace(v, std::move(*table)).first;
+            table_it = local_suffix_max.emplace(v, std::move(*table)).first;
           }
           const std::vector<double>& suffix_max = table_it->second;
           table_by_size[g_size] = &suffix_max;
           // Tier 1: the common count never exceeds the smaller multiset
           // (the kernel sweep above already computed the non-weighted
           // bound for this block).
-          const int64_t lb = options.variant == GbdaVariant::kWeightedGbd
-                                 ? phi_lower(max_size, min_size)
-                                 : static_cast<int64_t>(blk_lb[j]);
+          const int64_t lb =
+              options.variant == GbdaVariant::kWeightedGbd
+                  ? phi_lower(max_size,
+                              static_cast<int64_t>(
+                                  std::min(query_branches.size(), g_size)))
+                  : static_cast<int64_t>(blk_lb[j]);
           tier1_lb[g_size] = lb;
           tier1_ub[g_size] = phi_upper(suffix_max, lb);
         }
@@ -577,17 +524,18 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
         // far cheaper than the full scoring it stands in for. The cap
         // bounds the count from above, so it prunes a subset of what tier
         // 2 prunes: it only saves the count.
-        bool pruned =
-            strictly_worse(tier1_ub[g_size], tier1_lb[g_size], blk_ids[j]);
-        if (!pruned && blk_cap[j] < min_size) {
-          const int64_t lb_cap = phi_lower(max_size, blk_cap[j]);
-          pruned = strictly_worse(phi_upper(*table_by_size[g_size], lb_cap),
-                                  lb_cap, blk_ids[j]);
+        bool pruned = strictly_worse(tier1_ub[g_size], tier1_lb[g_size]);
+        if constexpr (IdSeq::kCapped) {
+          if (!pruned && blk_cap[j] < static_cast<int64_t>(std::min(
+                                          query_branches.size(), g_size))) {
+            const int64_t lb_cap = phi_lower(max_size, blk_cap[j]);
+            pruned = strictly_worse(
+                phi_upper(*table_by_size[g_size], lb_cap), lb_cap);
+          }
         }
         if (!pruned) {
           const int64_t lb2 = phi_lower(max_size, common_at(j));
-          pruned = strictly_worse(phi_upper(*table_by_size[g_size], lb2), lb2,
-                                  blk_ids[j]);
+          pruned = strictly_worse(phi_upper(*table_by_size[g_size], lb2), lb2);
         }
         if (pruned) {
           ++result->pruned_by_bound;
@@ -660,7 +608,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
           // strong hits then prune the other shards' tails through the
           // shared witness. The improved witness takes effect at the next
           // block boundary.
-          const ScanWitness candidate{score, phi, id};
+          const ScanWitness candidate{score, phi};
           if (local_topk.size() < bounds->k()) {
             local_topk.push(candidate);
             if (local_topk.size() == bounds->k()) {
@@ -678,158 +626,50 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   return Status::OK();
 }
 
-/// Walks the postings of ctx.query_postings, rarest key first, restricted
-/// to the ids in [begin, end) — the candidate generation of the prefix
-/// filter (see ScanRange). Each call continues where the last one stopped
-/// and returns only ids no earlier call returned.
-class PostingWalk {
- public:
-  PostingWalk(const ScanContext& ctx, const CandidateColumns& columns,
-              size_t begin, size_t end)
-      : ctx_(ctx), columns_(columns), begin_(begin), end_(end) {
-    if (Partial().size() < end - begin) Partial().resize(end - begin, 0);
-  }
-  PostingWalk(const PostingWalk&) = delete;
-  PostingWalk& operator=(const PostingWalk&) = delete;
-  ~PostingWalk() {
-    std::vector<uint32_t>& partial = Partial();
-    for (uint32_t id : touched_) partial[id - begin_] = 0;
-    for (uint32_t id : fresh_) partial[id - begin_] = 0;
-  }
-
-  /// Walks further keys until at least `positions` query positions
-  /// (multiplicity included) are covered, or every key is. Returns in *ids
-  /// the ascending ids the newly walked keys touched that no earlier call
-  /// returned, and in *caps each one's common-count cap: its share
-  /// min(query multiplicity, run) of the new keys — it shares none of the
-  /// earlier ones — plus every query position not walked yet.
-  void ExtendTo(int64_t positions, std::vector<uint32_t>* ids,
-                std::vector<uint32_t>* caps) {
-    std::vector<uint32_t>& partial = Partial();
-    const std::vector<ScanContext::QueryPosting>& keys = ctx_.query_postings;
-    while (covered_ < positions && next_ < keys.size()) {
-      const ScanContext::QueryPosting& key = keys[next_++];
-      covered_ += key.multiplicity;
-      // A key the corpus lacks covers its positions for free.
-      if (key.slot == columns_.num_distinct) continue;
-      const uint32_t* const list_end =
-          columns_.posting_ids + columns_.posting_offsets[key.slot + 1];
-      const uint32_t* p = std::lower_bound(
-          columns_.posting_ids + columns_.posting_offsets[key.slot], list_end,
-          begin_, [](uint32_t id, size_t b) { return id < b; });
-      while (p != list_end && *p < end_) {
-        const uint32_t g = *p;
-        uint32_t run = 1;
-        while (++p != list_end && *p == g) ++run;
-        uint32_t& count = partial[g - begin_];
-        if (count & kReturned) continue;
-        if (count == 0) fresh_.push_back(g);
-        count += std::min(run, key.multiplicity);
-      }
+/// Candidate generation of the prefix filter (see ScanRange): walks the
+/// postings of ctx.query_postings, rarest key first, restricted to the ids
+/// in [begin, end), until at least `positions` query positions
+/// (multiplicity included) are covered, or every key is. Returns in *ids
+/// the ascending ids the walked keys touched, and in *caps each one's
+/// common-count cap: its share min(query multiplicity, run) of the walked
+/// keys plus every query position not walked.
+void WalkPrefix(const ScanContext& ctx, const CandidateColumns& columns,
+                size_t begin, size_t end, int64_t positions,
+                std::vector<uint32_t>* ids, std::vector<uint32_t>* caps) {
+  // Per-worker partial counts over the range, all zero between calls: only
+  // touched slots are written, and they are zeroed again below. No scan
+  // runs nested inside another on one thread.
+  thread_local std::vector<uint32_t> partial;
+  if (partial.size() < end - begin) partial.resize(end - begin, 0);
+  ids->clear();
+  int64_t covered = 0;
+  for (const ScanContext::QueryPosting& key : ctx.query_postings) {
+    if (covered >= positions) break;
+    covered += key.multiplicity;
+    // A key the corpus lacks covers its positions for free.
+    if (key.slot == columns.num_distinct) continue;
+    const uint32_t* const list_end =
+        columns.posting_ids + columns.posting_offsets[key.slot + 1];
+    const uint32_t* p = std::lower_bound(
+        columns.posting_ids + columns.posting_offsets[key.slot], list_end,
+        begin, [](uint32_t id, size_t b) { return id < b; });
+    while (p != list_end && *p < end) {
+      const uint32_t g = *p;
+      uint32_t run = 1;
+      while (++p != list_end && *p == g) ++run;
+      uint32_t& count = partial[g - begin];
+      if (count == 0) ids->push_back(g);
+      count += std::min(run, key.multiplicity);
     }
-    std::sort(fresh_.begin(), fresh_.end());
-    const uint32_t unwalked = static_cast<uint32_t>(
-        static_cast<int64_t>(ctx_.query_fps.size()) - covered_);
-    ids->assign(fresh_.begin(), fresh_.end());
-    caps->resize(fresh_.size());
-    for (size_t i = 0; i < fresh_.size(); ++i) {
-      uint32_t& count = partial[fresh_[i] - begin_];
-      (*caps)[i] = count + unwalked;
-      count = kReturned;
-    }
-    const size_t mid = touched_.size();
-    touched_.insert(touched_.end(), fresh_.begin(), fresh_.end());
-    fresh_.clear();
-    std::inplace_merge(touched_.begin(),
-                       touched_.begin() + static_cast<ptrdiff_t>(mid),
-                       touched_.end());
   }
-
-  /// Query positions walked so far.
-  int64_t covered() const { return covered_; }
-  /// Every id returned so far, ascending.
-  const std::vector<uint32_t>& touched() const { return touched_; }
-
- private:
-  /// Marks an id an earlier call returned.
-  static constexpr uint32_t kReturned = uint32_t{1} << 31;
-
-  /// Per-thread partial counts over the range, all zero outside a walk:
-  /// only touched slots are written, and the destructor zeroes them. No
-  /// scan runs nested inside another on one thread.
-  static std::vector<uint32_t>& Partial() {
-    thread_local std::vector<uint32_t> partial;
-    return partial;
-  }
-
-  const ScanContext& ctx_;
-  const CandidateColumns& columns_;
-  size_t begin_;
-  size_t end_;
-  size_t next_ = 0;      // next key of ctx_.query_postings to walk
-  int64_t covered_ = 0;  // query positions walked so far
-  std::vector<uint32_t> touched_;
-  std::vector<uint32_t> fresh_;  // touched by the current call, unreturned
-};
-
-/// Accounts for a candidate the bound rules out without visiting it: once
-/// the prefilter admits it, it counts as evaluated and pruned.
-void CountPruned(const ScanContext& ctx, const Prefilter* prefilter, size_t id,
-                 SearchResult* result) {
-  if (ctx.options.use_prefilter &&
-      !prefilter->Passes(ctx.query_profile, id, ctx.options.tau_hat)) {
-    ++result->prefiltered_out;
-    return;
-  }
-  ++result->candidates_evaluated;
-  ++result->pruned_by_bound;
-}
-
-/// CountPruned for every id of [begin, end) missing from the ascending
-/// list `walked`.
-void CountUnwalked(const ScanContext& ctx, const Prefilter* prefilter,
-                   size_t begin, size_t end,
-                   const std::vector<uint32_t>& walked, SearchResult* result) {
-  if (!ctx.options.use_prefilter) {
-    const size_t unwalked = (end - begin) - walked.size();
-    result->candidates_evaluated += unwalked;
-    result->pruned_by_bound += unwalked;
-    return;
-  }
-  size_t w = 0;
-  for (size_t id = begin; id < end; ++id) {
-    if (w < walked.size() && walked[w] == id) {
-      ++w;
-      continue;
-    }
-    CountPruned(ctx, prefilter, id, result);
-  }
-}
-
-/// Orders a walk's ids (and their caps) best bound first: smallest GBD
-/// lower bound max(|q|, |g|) - min(cap, |q|, |g|) first, ties by ascending
-/// id. Only the first `head` places are sorted; the rest follow in no
-/// particular order. A ranking scan's witness then tightens on its first
-/// blocks.
-void OrderBestFirst(const CandidateColumns& columns, uint32_t query_size,
-                    size_t head, std::vector<uint32_t>* ids,
-                    std::vector<uint32_t>* caps) {
-  std::vector<std::pair<uint64_t, uint32_t>> keyed(ids->size());
+  std::sort(ids->begin(), ids->end());
+  const uint32_t unwalked = static_cast<uint32_t>(
+      static_cast<int64_t>(ctx.query_fps.size()) - covered);
+  caps->resize(ids->size());
   for (size_t i = 0; i < ids->size(); ++i) {
-    const uint32_t g_size = columns.sizes[(*ids)[i]];
-    const uint32_t lb = std::max(query_size, g_size) -
-                        std::min({(*caps)[i], query_size, g_size});
-    keyed[i] = {(static_cast<uint64_t>(lb) << 32) | (*ids)[i], (*caps)[i]};
-  }
-  head = std::min(head, keyed.size());
-  const auto head_end = keyed.begin() + static_cast<ptrdiff_t>(head);
-  if (head < keyed.size()) {
-    std::nth_element(keyed.begin(), head_end, keyed.end());
-  }
-  std::sort(keyed.begin(), head_end);
-  for (size_t i = 0; i < keyed.size(); ++i) {
-    (*ids)[i] = static_cast<uint32_t>(keyed[i].first);
-    (*caps)[i] = keyed[i].second;
+    uint32_t& count = partial[(*ids)[i] - begin];
+    (*caps)[i] = count + unwalked;
+    count = 0;
   }
 }
 
@@ -839,135 +679,48 @@ Status ScanRange(const ScanContext& ctx, const IndexReader& index,
                  const Prefilter* prefilter, size_t begin, size_t end,
                  PosteriorEngine* posterior, SearchResult* result,
                  ScanBounds* bounds) {
-  ScanState state(ctx, bounds);
   const CandidateColumns columns = index.columns();
-  const int64_t query_size = static_cast<int64_t>(ctx.query_fps.size());
   const int64_t two_tau = 2 * ctx.options.tau_hat;
-  // The prefix filter (see the header): Phi is exactly 0 past phi =
-  // 2 * tau_hat, and a candidate sharing none of D + 1 walked query
-  // positions has GBD > D. Needs a query with more than 2 * tau_hat
-  // branches, postings looked up in this very column, and the GBD form of
-  // phi (VGBD can fall below the missed positions).
-  const bool prefix = (state.gamma_prune || state.rank_prune) &&
+  // The prefix filter (see the header) serves the gamma cut of the GBD
+  // variants (VGBD can fall below the missed positions), for a query with
+  // more than 2 * tau_hat branches whose postings were looked up in this
+  // very column.
+  const bool prefix = ctx.apply_gamma && ctx.options.gamma > 0.0 &&
+                      ctx.options.topk_early_termination &&
                       ctx.options.variant != GbdaVariant::kWeightedGbd &&
                       ctx.postings_of == columns.fp_unique &&
-                      query_size > two_tau;
+                      static_cast<int64_t>(ctx.query_fps.size()) > two_tau;
   if (!prefix) {
     return ScanIdSequence(ctx, index, prefilter,
                           ContiguousIds{begin, end - begin}, posterior, result,
-                          &state);
+                          bounds);
   }
-  PostingWalk walk(ctx, columns, begin, end);
   std::vector<uint32_t> ids, caps;
-  // Evaluates `ids` with their caps (`exact` when the caps are the counts
-  // themselves).
-  const auto evaluate = [&](bool exact) {
-    return ScanIdSequence(
-        ctx, index, prefilter,
-        ListedIds{ids.data(), ids.size(), caps.data(), exact}, posterior,
-        result, &state);
-  };
-  // Phase 1: 2 * tau_hat + 1 positions, all the gamma cut needs. Threshold
-  // matches keep ascending id order.
-  walk.ExtendTo(two_tau + 1, &ids, &caps);
-  if (!state.rank_prune) {
-    GBDA_RETURN_IF_ERROR(evaluate(/*exact=*/false));
-    CountUnwalked(ctx, prefilter, begin, end, walk.touched(), result);
+  WalkPrefix(ctx, columns, begin, end, two_tau + 1, &ids, &caps);
+  GBDA_RETURN_IF_ERROR(ScanIdSequence(ctx, index, prefilter,
+                                      ListedIds{ids.data(), ids.size(),
+                                                caps.data()},
+                                      posterior, result, bounds));
+  // Every id the walk missed has GBD > 2 * tau_hat, so Phi == 0 < gamma:
+  // evaluated and pruned, without a visit.
+  if (!ctx.options.use_prefilter) {
+    const size_t unwalked = (end - begin) - ids.size();
+    result->candidates_evaluated += unwalked;
+    result->pruned_by_bound += unwalked;
     return Status::OK();
   }
-  // A ranking scan's order is free (it is sorted afterwards), so it
-  // evaluates best bound first. The witness radius D: a candidate with
-  // GBD > D (so Phi == 0) ranks strictly after a witness with phi > 0 once
-  // D = 2 * tau_hat, and after a witness with phi == 0 once D >= its gbd
-  // too. No walk reaches a D >= |q|.
-  const auto radius_of = [&](const ScanWitness& witness) -> int64_t {
-    if (!(witness.phi > -std::numeric_limits<double>::infinity())) {
-      return kNoCap;
-    }
-    return witness.phi > 0.0 ? two_tau : std::max(two_tau, witness.gbd);
-  };
-  const uint32_t q_size = static_cast<uint32_t>(query_size);
-  const auto lower_bound_at = [&](size_t i) -> int64_t {
-    const uint32_t g_size = columns.sizes[ids[i]];
-    return std::max(q_size, g_size) - std::min({caps[i], q_size, g_size});
-  };
-  // Counts the ids whose GBD lower bound exceeds the current witness
-  // radius as pruned without visiting them, keeps the rest in order.
-  const auto drop_past_radius = [&]() {
-    const int64_t radius = radius_of(state.Witness());
-    if (radius == kNoCap) return;
-    size_t kept = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (lower_bound_at(i) > radius) {
-        CountPruned(ctx, prefilter, ids[i], result);
-        continue;
-      }
-      ids[kept] = ids[i];
-      caps[kept] = caps[i];
-      ++kept;
-    }
-    ids.resize(kept);
-    caps.resize(kept);
-  };
-  const size_t k = state.bounds->k();
-  // Phase 1 merges its few ids for exact counts. Unless the shared witness
-  // already reaches, a shard whose k best phase-1 GBDs (exact counts are
-  // exact lower bounds) are all >= |q| cannot end with a reachable witness
-  // — fewer than k of them can have Phi > 0 — so it skips straight to the
-  // full pass instead of verifying candidates it would outrank later.
-  const ScanKernels& kernels =
-      GetScanKernels(ResolveKernels(ctx.options.kernel_dispatch));
-  const ListedIds::Counts merge =
-      ListedIds{}.CommonCounts(ctx, columns, kernels);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    caps[i] = static_cast<uint32_t>(merge(ids[i]));
-  }
-  OrderBestFirst(columns, q_size, ids.size(), &ids, &caps);
-  bool full_pass = radius_of(state.Witness()) >= query_size &&
-                   (ids.size() < k || lower_bound_at(k - 1) >= query_size);
-  bool phase1_evaluated = false;
-  if (!full_pass) {
-    GBDA_RETURN_IF_ERROR(evaluate(/*exact=*/true));
-    phase1_evaluated = true;
-    const int64_t radius = radius_of(state.Witness());
-    full_pass = radius >= query_size;
-    if (!full_pass && radius > two_tau) {
-      // Phase 2: widen the walk to D + 1 positions and evaluate what only
-      // the new keys touched; the witness only grows, so D stays valid.
-      walk.ExtendTo(radius + 1, &ids, &caps);
-      drop_past_radius();
-      OrderBestFirst(columns, q_size, 4 * k, &ids, &caps);
-      GBDA_RETURN_IF_ERROR(evaluate(/*exact=*/false));
+  size_t w = 0;
+  for (size_t id = begin; id < end; ++id) {
+    if (w < ids.size() && ids[w] == id) {
+      ++w;
+    } else if (!prefilter->Passes(ctx.query_profile, id,
+                                  ctx.options.tau_hat)) {
+      ++result->prefiltered_out;
+    } else {
+      ++result->candidates_evaluated;
+      ++result->pruned_by_bound;
     }
   }
-  if (full_pass) {
-    // No reachable witness: one postings pass counts every id not yet
-    // evaluated exactly. The best 4k go first; they arm the witness, whose
-    // radius then rules out most of the rest without a visit.
-    const uint32_t* counts = RangeCommonCounts(ctx, columns, begin, end);
-    const std::vector<uint32_t>& walked = walk.touched();
-    ids.clear();
-    caps.clear();
-    size_t w = 0;
-    for (size_t id = begin; id < end; ++id) {
-      if (phase1_evaluated && w < walked.size() && walked[w] == id) {
-        ++w;
-        continue;
-      }
-      ids.push_back(static_cast<uint32_t>(id));
-      caps.push_back(counts[id - begin]);
-    }
-    const size_t head = std::min(ids.size(), 4 * k);
-    OrderBestFirst(columns, q_size, head, &ids, &caps);
-    GBDA_RETURN_IF_ERROR(ScanIdSequence(
-        ctx, index, prefilter, ListedIds{ids.data(), head, caps.data(), true},
-        posterior, result, &state));
-    ids.erase(ids.begin(), ids.begin() + static_cast<ptrdiff_t>(head));
-    caps.erase(caps.begin(), caps.begin() + static_cast<ptrdiff_t>(head));
-    drop_past_radius();
-    return evaluate(/*exact=*/true);
-  }
-  CountUnwalked(ctx, prefilter, begin, end, walk.touched(), result);
   return Status::OK();
 }
 
@@ -987,9 +740,8 @@ Status ScanCandidateList(const ScanContext& ctx, const IndexReader& index,
           " graphs");
     }
   }
-  ScanState state(ctx, bounds);
   return ScanIdSequence(ctx, index, prefilter, ListedIds{ids.data(), ids.size()},
-                        posterior, result, &state);
+                        posterior, result, bounds);
 }
 
 Result<std::unique_ptr<GbdaSearch>> GbdaSearch::Create(

@@ -129,24 +129,20 @@ void SortTopK(std::vector<SearchMatch>* matches, size_t k);
 /// sentinel by the service layers, so SIZE_MAX never aliases it.
 inline constexpr size_t kScanAllMatches = static_cast<size_t>(-1);
 
-/// A pruning witness: "enough real matches rank at or before (phi, gbd,
-/// graph_id) under SearchMatchRankBefore". A candidate whose best reachable
-/// pair ranks strictly after it can be skipped. The default value is no
-/// witness (-infinity ranks after every real pair). graph_id is known only
-/// for a scan's own k-th best; the shared witness (ScanBounds) drops it,
-/// and the maximum id then keeps an exact (phi, gbd) tie unpruned.
+/// A pruning witness: "enough real matches rank at or before (phi, gbd)
+/// under SearchMatchRankBefore". A candidate whose best reachable pair
+/// ranks strictly after it can be skipped. The default value is no witness
+/// (-infinity ranks after every real pair).
 struct ScanWitness {
   double phi = -std::numeric_limits<double>::infinity();
   int64_t gbd = std::numeric_limits<int64_t>::max();
-  size_t graph_id = std::numeric_limits<size_t>::max();
 };
 
-/// SearchMatchRankBefore on witnesses: higher phi first, then smaller gbd,
-/// then smaller id.
+/// SearchMatchRankBefore on (phi, gbd) alone: higher phi first, then
+/// smaller gbd.
 inline bool WitnessRankBefore(const ScanWitness& a, const ScanWitness& b) {
   if (a.phi != b.phi) return a.phi > b.phi;
-  if (a.gbd != b.gbd) return a.gbd < b.gbd;
-  return a.graph_id < b.graph_id;
+  return a.gbd < b.gbd;
 }
 
 /// Shared early-termination state of one top-k scan: one instance per
@@ -310,7 +306,7 @@ struct ScanContext {
   };
   /// The query's distinct fingerprints, shortest posting list first (an
   /// absent key has none, so it comes first; ties keep key order). The
-  /// pruning range scans walk a prefix of these (see ScanRange). Looked up
+  /// gamma-cut range scans walk a prefix of these (see ScanRange). Looked up
   /// once per query, in the same pass as the exactness audit below.
   std::vector<QueryPosting> query_postings;
   /// The fp_unique column the slots above index; ScanRange walks them only
@@ -364,26 +360,23 @@ Result<ScanContext> PrepareScan(const Graph& query,
 ///    cross-shard witness in bounds->witness().
 /// The proof pushes a GBD lower bound — from the size column (tier 1,
 /// O(1)), then from the candidate's fingerprint common-branch count
-/// (tier 2) — through PosteriorEngine::PhiSuffixMax; a tie in the
+/// (tier 2: one read of the count the call's single postings pass over
+/// [begin, end) filled in, see CountCommonBranches) — through
+/// PosteriorEngine::PhiSuffixMax; a tie in the
 /// bounded phi falls through to the gbd tie-break, so ranking pruning stays
 /// live even when the k-th best phi_score is exactly 0. Every skip is
 /// provably outside the answer, so the threshold matches and (after
 /// SortTopK) the ranking are bit-identical to the exhaustive scan (see
 /// ScanBounds).
 ///
-/// Phi is exactly 0 past phi = 2 * tau_hat, so a pruning scan of a
-/// non-weighted variant only visits the candidates that share one of the
-/// query's first D + 1 positions in ctx.query_postings (prefix filter): a
-/// candidate sharing none misses at least D + 1 query branches, so its
-/// GBD is > D and it ranks strictly after the witness. D is 2 * tau_hat
-/// for the gamma cut and for a ranking witness with phi > 0, and
-/// max(2 * tau_hat, witness gbd) for a ranking witness with phi == 0. A
-/// ranking scan walks 2 * tau_hat + 1 positions first, evaluates what they
-/// touch, then widens the walk to the D its witness allows, or (no witness
-/// yet, or D + 1 > |query|) counts the rest with one postings pass
-/// (CountCommonBranches). Skipped candidates still count in
-/// candidates_evaluated and in pruned_by_bound. Threshold matches keep
-/// ascending id order; a ranking scan may append out of id order.
+/// The gamma cut of a non-weighted variant skips the postings pass (prefix
+/// filter). Phi is exactly 0 past phi = 2 * tau_hat, so a match shares at
+/// least one of any 2 * tau_hat + 1 query positions: the scan walks the
+/// postings of ctx.query_postings, rarest first, until they cover that
+/// many, and evaluates only the candidates they touch, in ascending id
+/// order. Every other candidate misses more than 2 * tau_hat query branches,
+/// so its GBD exceeds 2 * tau_hat; it counts in candidates_evaluated and in
+/// pruned_by_bound without a visit.
 Status ScanRange(const ScanContext& ctx, const IndexReader& index,
                  const Prefilter* prefilter, size_t begin, size_t end,
                  PosteriorEngine* posterior, SearchResult* result,
