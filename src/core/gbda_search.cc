@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -57,10 +58,9 @@ ScanWitness ScanBounds::Unpack(uint64_t key) {
   return w;
 }
 
-Result<ScanContext> PrepareScan(const Graph& query,
-                                const SearchOptions& options, bool apply_gamma,
-                                const CorpusRef& corpus,
-                                const IndexReader& index) {
+Status CheckScanPreconditions(const SearchOptions& options,
+                              const CorpusRef& corpus,
+                              const IndexReader& index) {
   if (options.tau_hat < 0 || options.tau_hat > index.tau_max()) {
     return Status::InvalidArgument(
         "tau_hat outside the range supported by this index");
@@ -78,6 +78,14 @@ Result<ScanContext> PrepareScan(const Graph& query,
         "index is tombstoned: the frozen scan cannot serve a mutated "
         "corpus — use DynamicGbdaService");
   }
+  return Status::OK();
+}
+
+Result<ScanContext> PrepareScan(const Graph& query,
+                                const SearchOptions& options, bool apply_gamma,
+                                const CorpusRef& corpus,
+                                const IndexReader& index) {
+  GBDA_RETURN_IF_ERROR(CheckScanPreconditions(options, corpus, index));
   ScanContext ctx;
   ctx.options = options;
   ctx.apply_gamma = apply_gamma;
@@ -673,6 +681,42 @@ void WalkPrefix(const ScanContext& ctx, const CandidateColumns& columns,
   }
 }
 
+/// True when a pruning scan of ctx may read the postings of ctx.
+/// query_postings: the GBD variants (VGBD can fall below the missed
+/// positions) of a context prepared against this very column.
+bool CanWalk(const ScanContext& ctx, const CandidateColumns& columns) {
+  return ctx.options.topk_early_termination &&
+         ctx.options.variant != GbdaVariant::kWeightedGbd &&
+         ctx.postings_of == columns.fp_unique;
+}
+
+/// The query positions a range scan walks instead of the one-pass postings
+/// count, or 0 for the pass (see ScanRange). A candidate sharing none of
+/// the walked positions has phi >= positions, which must rank it strictly
+/// after the scan's witness: the gamma cut (Phi == 0 < gamma past
+/// 2 * tau_hat), or a ranking witness (Phi_w, G_w) already in `bounds`
+/// (Phi == 0 < Phi_w past 2 * tau_hat; for Phi_w == 0, also past G_w).
+int64_t WalkPositions(const ScanContext& ctx, const CandidateColumns& columns,
+                      const ScanBounds* bounds) {
+  if (!CanWalk(ctx, columns)) return 0;
+  const int64_t two_tau = 2 * ctx.options.tau_hat;
+  int64_t positions = 0;
+  if (ctx.apply_gamma) {
+    if (ctx.options.gamma > 0.0) positions = two_tau + 1;
+  } else if (bounds != nullptr && bounds->k() > 0) {
+    const ScanWitness witness = bounds->witness();
+    if (witness.phi > 0.0) {
+      positions = two_tau + 1;
+    } else if (witness.phi == 0.0) {
+      positions = std::max(two_tau, witness.gbd) + 1;
+    }
+  }
+  // Walking every key still leaves common-free candidates inside the
+  // radius; those need the pass.
+  return positions <= static_cast<int64_t>(ctx.query_fps.size()) ? positions
+                                                                  : 0;
+}
+
 }  // namespace
 
 Status ScanRange(const ScanContext& ctx, const IndexReader& index,
@@ -680,29 +724,20 @@ Status ScanRange(const ScanContext& ctx, const IndexReader& index,
                  PosteriorEngine* posterior, SearchResult* result,
                  ScanBounds* bounds) {
   const CandidateColumns columns = index.columns();
-  const int64_t two_tau = 2 * ctx.options.tau_hat;
-  // The prefix filter (see the header) serves the gamma cut of the GBD
-  // variants (VGBD can fall below the missed positions), for a query with
-  // more than 2 * tau_hat branches whose postings were looked up in this
-  // very column.
-  const bool prefix = ctx.apply_gamma && ctx.options.gamma > 0.0 &&
-                      ctx.options.topk_early_termination &&
-                      ctx.options.variant != GbdaVariant::kWeightedGbd &&
-                      ctx.postings_of == columns.fp_unique &&
-                      static_cast<int64_t>(ctx.query_fps.size()) > two_tau;
-  if (!prefix) {
+  const int64_t positions = WalkPositions(ctx, columns, bounds);
+  if (positions == 0) {
     return ScanIdSequence(ctx, index, prefilter,
                           ContiguousIds{begin, end - begin}, posterior, result,
                           bounds);
   }
   std::vector<uint32_t> ids, caps;
-  WalkPrefix(ctx, columns, begin, end, two_tau + 1, &ids, &caps);
+  WalkPrefix(ctx, columns, begin, end, positions, &ids, &caps);
   GBDA_RETURN_IF_ERROR(ScanIdSequence(ctx, index, prefilter,
                                       ListedIds{ids.data(), ids.size(),
                                                 caps.data()},
                                       posterior, result, bounds));
-  // Every id the walk missed has GBD > 2 * tau_hat, so Phi == 0 < gamma:
-  // evaluated and pruned, without a visit.
+  // Every id the walk missed ranks strictly after the witness (see
+  // WalkPositions): evaluated and pruned, without a visit.
   if (!ctx.options.use_prefilter) {
     const size_t unwalked = (end - begin) - ids.size();
     result->candidates_evaluated += unwalked;
@@ -720,6 +755,59 @@ Status ScanRange(const ScanContext& ctx, const IndexReader& index,
       ++result->candidates_evaluated;
       ++result->pruned_by_bound;
     }
+  }
+  return Status::OK();
+}
+
+Status SeedRankWitness(const ScanContext& ctx, const IndexReader& index,
+                       const Prefilter* prefilter, PosteriorEngine* posterior,
+                       ScanBounds* bounds) {
+  const CandidateColumns columns = index.columns();
+  const size_t k = bounds->k();
+  if (ctx.apply_gamma || k == 0 || !CanWalk(ctx, columns)) {
+    return Status::OK();
+  }
+  // The candidates sharing most of the query's rarest positions are the
+  // likeliest near neighbours; any k admitted ones give a sound witness.
+  const int64_t two_tau = 2 * ctx.options.tau_hat;
+  std::vector<uint32_t> ids, caps;
+  WalkPrefix(ctx, columns, 0, index.num_graphs(), two_tau + 1, &ids, &caps);
+  if (ids.size() < k) return Status::OK();
+  // caps[i] is the partial count plus one constant, so it orders alike.
+  std::vector<uint32_t> order(ids.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return caps[a] != caps[b] ? caps[a] > caps[b] : a < b;
+  });
+  const int64_t query_size = static_cast<int64_t>(ctx.query_fps.size());
+  std::vector<uint32_t> seeds;
+  seeds.reserve(k);
+  for (uint32_t i : order) {
+    if (seeds.size() == k) break;
+    if (ctx.options.use_prefilter &&
+        !prefilter->Passes(ctx.query_profile, ids[i], ctx.options.tau_hat)) {
+      continue;
+    }
+    // A seed whose GBD provably exceeds 2 * tau_hat has Phi == 0, so the
+    // witness (the worst seed) is (0, G_w) with G_w at least that bound.
+    // At |B_q| or past it no range can walk (see WalkPositions): scoring
+    // the seeds would only add to the pass.
+    const int64_t gbd_lb =
+        std::max<int64_t>(query_size, columns.sizes[ids[i]]) - caps[i];
+    if (gbd_lb > two_tau && gbd_lb >= query_size) return Status::OK();
+    seeds.push_back(ids[i]);
+  }
+  if (seeds.size() < k) return Status::OK();
+  // Scored exactly as the scan scores them, so the k-th best is the
+  // (phi_score, gbd) of a real match and k matches rank at or before it.
+  SearchResult scored;
+  GBDA_RETURN_IF_ERROR(ScanIdSequence(ctx, index, prefilter,
+                                      ListedIds{seeds.data(), seeds.size()},
+                                      posterior, &scored, nullptr));
+  SortTopK(&scored.matches, k);
+  if (scored.matches.size() == k) {
+    bounds->Publish(scored.matches.back().phi_score,
+                    scored.matches.back().gbd);
   }
   return Status::OK();
 }
@@ -789,6 +877,10 @@ Result<SearchResult> GbdaSearch::Scan(const Graph& query,
   }
   SearchResult result;
   ScanBounds bounds(top_k);
+  if (early_terminate) {
+    GBDA_RETURN_IF_ERROR(
+        SeedRankWitness(*ctx, *index_, prefilter, &posterior_, &bounds));
+  }
   Status scan = ScanRange(*ctx, *index_, prefilter, 0, db_->size(),
                           &posterior_, &result,
                           early_terminate ? &bounds : nullptr);

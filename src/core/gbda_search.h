@@ -306,8 +306,9 @@ struct ScanContext {
   };
   /// The query's distinct fingerprints, shortest posting list first (an
   /// absent key has none, so it comes first; ties keep key order). The
-  /// gamma-cut range scans walk a prefix of these (see ScanRange). Looked up
-  /// once per query, in the same pass as the exactness audit below.
+  /// pruning range scans and SeedRankWitness walk a prefix of these (see
+  /// ScanRange). Looked up once per query, in the same pass as the
+  /// exactness audit below.
   std::vector<QueryPosting> query_postings;
   /// The fp_unique column the slots above index; ScanRange walks them only
   /// against the same column, and scans any other backing without them.
@@ -329,11 +330,19 @@ struct ScanContext {
   int64_t v1_size = 0;  // only meaningful for GbdaVariant::kAverageSize
 };
 
-/// Validates options against the index and computes the per-query state.
-/// Deterministic in options.seed (the V1 sample). Fails when
-/// options.tau_hat exceeds the index's tau_max, and when the corpus and
-/// index disagree on the graph count (a stale index artifact would
-/// otherwise drive out-of-bounds branch lookups in ScanRange).
+/// The query-independent checks PrepareScan runs first: fails when
+/// options.tau_hat is outside [0, tau_max] of the index (InvalidArgument),
+/// when the corpus and index disagree on the graph count (a stale index
+/// artifact would otherwise drive out-of-bounds branch lookups in
+/// ScanRange), and when the index is tombstoned (both FailedPrecondition).
+/// A batch runs it once, before any query is prepared.
+Status CheckScanPreconditions(const SearchOptions& options,
+                              const CorpusRef& corpus,
+                              const IndexReader& index);
+
+/// Validates options against the index (CheckScanPreconditions) and
+/// computes the per-query state. Deterministic in options.seed (the V1
+/// sample).
 Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const CorpusRef& corpus,
@@ -369,18 +378,45 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// SortTopK) the ranking are bit-identical to the exhaustive scan (see
 /// ScanBounds).
 ///
-/// The gamma cut of a non-weighted variant skips the postings pass (prefix
-/// filter). Phi is exactly 0 past phi = 2 * tau_hat, so a match shares at
-/// least one of any 2 * tau_hat + 1 query positions: the scan walks the
-/// postings of ctx.query_postings, rarest first, until they cover that
-/// many, and evaluates only the candidates they touch, in ascending id
-/// order. Every other candidate misses more than 2 * tau_hat query branches,
-/// so its GBD exceeds 2 * tau_hat; it counts in candidates_evaluated and in
-/// pruned_by_bound without a visit.
+/// A pruning scan of a non-weighted variant skips the postings pass when it
+/// knows a radius D (prefix filter): a candidate missing more than D query
+/// branch positions has GBD > D and is provably outside the answer, so it
+/// shares at least one of any D + 1 query positions if it can be returned.
+/// The scan then walks the postings of ctx.query_postings, rarest first,
+/// until they cover D + 1 positions, and evaluates only the candidates they
+/// touch, in ascending id order; every other candidate counts in
+/// candidates_evaluated and in pruned_by_bound without a visit. Phi is
+/// exactly 0 past phi = 2 * tau_hat, so
+///  - the gamma cut has D = 2 * tau_hat;
+///  - a ranking scan whose `bounds` already hold a witness (Phi_w, G_w) —
+///    from SeedRankWitness or another shard — has D = 2 * tau_hat when
+///    Phi_w > 0, else D = max(2 * tau_hat, G_w): a candidate past D has
+///    Phi == 0 and, for Phi_w == 0, a gbd larger than G_w.
+/// A ranking scan without a witness, the weighted variant, a query with at
+/// most D branches and a context prepared against another column run the
+/// pass.
 Status ScanRange(const ScanContext& ctx, const IndexReader& index,
                  const Prefilter* prefilter, size_t begin, size_t end,
                  PosteriorEngine* posterior, SearchResult* result,
                  ScanBounds* bounds = nullptr);
+
+/// Arms a ranking scan's `bounds` before any range of it is scanned, so the
+/// first block of every shard prunes and ScanRange can walk (see above).
+/// Walks the postings of ctx.query_postings over the whole corpus, rarest
+/// first, until 2 * tau_hat + 1 positions are covered; scores the k
+/// touched ids that share the most walked positions (ties to the smaller
+/// id; under use_prefilter, only ids the prefilter admits) with the scan's
+/// own arithmetic, and publishes their k-th best (phi_score, gbd). Those
+/// are k real matches, so the witness is sound. Publishes nothing for
+/// threshold contexts, bounds->k() == 0, the weighted variant, a context
+/// prepared against another column, when fewer than k ids qualify, or when
+/// a seed's GBD lower bound already puts the witness radius past the query
+/// (no range could walk). Counts nothing in any SearchResult: the scan
+/// scores the seeds again. Thread-compatible under the same rules as
+/// ScanRange.
+Status SeedRankWitness(const ScanContext& ctx, const IndexReader& index,
+                       const Prefilter* prefilter, PosteriorEngine* posterior,
+                       ScanBounds* bounds);
 
 /// Evaluates exactly the candidates listed in `ids` (any order; ids must be
 /// distinct — a repeated id would append its match twice) with the SAME

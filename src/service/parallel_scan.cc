@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <utility>
 
 #include "common/timer.h"
@@ -25,7 +26,16 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
       !apply_gamma && top_k != kScanAllMatches &&
       top_k < env.shards->num_graphs() && options.topk_early_termination;
 
+  // The query-independent checks fail the batch before any task runs; per
+  // query, the first shard task to start prepares the context (and seeds
+  // the ranking witness) on the pool.
+  if (num_queries > 0) {
+    GBDA_RETURN_IF_ERROR(
+        CheckScanPreconditions(options, env.corpus, *env.index));
+  }
   struct QueryJob {
+    std::once_flag prepared;
+    Status prepare_status;
     ScanContext ctx;
     std::vector<SearchResult> partials;
     std::vector<Status> statuses;
@@ -39,11 +49,7 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
   std::vector<std::unique_ptr<QueryJob>> jobs;
   jobs.reserve(num_queries);
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    Result<ScanContext> ctx =
-        PrepareScan(queries[qi], options, apply_gamma, env.corpus, *env.index);
-    if (!ctx.ok()) return ctx.status();
     auto job = std::make_unique<QueryJob>();
-    job->ctx = std::move(*ctx);
     job->partials.resize(num_shards);
     job->statuses.resize(num_shards);
     job->shards_left.store(num_shards, std::memory_order_relaxed);
@@ -51,15 +57,19 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
     jobs.push_back(std::move(job));
   }
 
-  // Fan out every (query, shard) pair; each task writes only its own slot,
-  // so no synchronisation is needed beyond the completion countdown.
+  // Fan out every (query, shard) pair, shard-major so the first wave of
+  // tasks prepares distinct queries; each task writes only its own slot,
+  // so no synchronisation is needed beyond the preparation once-flag and
+  // the completion countdown.
   std::vector<std::future<void>> futures;
   futures.reserve(num_queries * num_shards);
   try {
-    for (size_t qi = 0; qi < num_queries; ++qi) {
-      QueryJob* job = jobs[qi].get();
-      for (size_t s = 0; s < num_shards; ++s) {
-        futures.push_back(env.pool->Submit([&env, job, s, top_k, &timer]() {
+    for (size_t s = 0; s < num_shards; ++s) {
+      for (size_t qi = 0; qi < num_queries; ++qi) {
+        QueryJob* job = jobs[qi].get();
+        const Graph* query = &queries[qi];
+        futures.push_back(env.pool->Submit([&env, &options, apply_gamma, job,
+                                            query, s, top_k, &timer]() {
           const ShardView& view = env.shards->shard(s);
           // The calling pool worker's engine replica; the spare (last slot)
           // serves any thread that is not a worker of env.pool — the check
@@ -69,10 +79,29 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
           PosteriorEngine* engine = worker == ThreadPool::kNotAWorker
                                         ? env.engines->back().get()
                                         : (*env.engines)[worker].get();
+          // The query's other shard tasks block here until it is prepared;
+          // call_once publishes the context and the seeded witness to them.
+          std::call_once(job->prepared, [&] {
+            Result<ScanContext> ctx = PrepareScan(*query, options, apply_gamma,
+                                                  env.corpus, *env.index);
+            if (!ctx.ok()) {
+              job->prepare_status = ctx.status();
+              return;
+            }
+            job->ctx = std::move(*ctx);
+            if (job->bounds) {
+              job->prepare_status =
+                  SeedRankWitness(job->ctx, *env.index, env.prefilter, engine,
+                                  job->bounds.get());
+            }
+          });
           SearchResult partial;
-          Status status = ScanRange(job->ctx, view.index(), env.prefilter,
-                                    view.begin(), view.end(), engine, &partial,
-                                    job->bounds.get());
+          Status status = job->prepare_status;
+          if (status.ok()) {
+            status = ScanRange(job->ctx, view.index(), env.prefilter,
+                               view.begin(), view.end(), engine, &partial,
+                               job->bounds.get());
+          }
           // Local truncation keeps the merge O(S * k): any global top-k
           // match is also in its own shard's top-k.
           if (status.ok() && top_k != kScanAllMatches) {
@@ -160,8 +189,13 @@ Result<std::vector<SearchResult>> AnnScanBatch(const ParallelScanEnv& env,
   // (each expansion depends on what the last one admitted), so parallelism
   // here is across queries only. Verification cost per query is bounded by
   // the window, which keeps single-query latency predictable.
+  // Each task prepares its own query; the query-independent checks fail
+  // the batch before any task runs.
+  if (num_queries > 0) {
+    GBDA_RETURN_IF_ERROR(
+        CheckScanPreconditions(options, env.corpus, *env.index));
+  }
   struct QueryJob {
-    ScanContext ctx;
     SearchResult result;
     Status status;
     double latency_seconds = 0.0;
@@ -169,13 +203,7 @@ Result<std::vector<SearchResult>> AnnScanBatch(const ParallelScanEnv& env,
   std::vector<std::unique_ptr<QueryJob>> jobs;
   jobs.reserve(num_queries);
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    Result<ScanContext> ctx = PrepareScan(queries[qi], options,
-                                          /*apply_gamma=*/false, env.corpus,
-                                          *env.index);
-    if (!ctx.ok()) return ctx.status();
-    auto job = std::make_unique<QueryJob>();
-    job->ctx = std::move(*ctx);
-    jobs.push_back(std::move(job));
+    jobs.push_back(std::make_unique<QueryJob>());
   }
 
   std::vector<std::future<void>> futures;
@@ -183,7 +211,9 @@ Result<std::vector<SearchResult>> AnnScanBatch(const ParallelScanEnv& env,
   try {
     for (size_t qi = 0; qi < num_queries; ++qi) {
       QueryJob* job = jobs[qi].get();
-      futures.push_back(env.pool->Submit([&env, &ann, job, top_k, &timer]() {
+      const Graph* query = &queries[qi];
+      futures.push_back(env.pool->Submit([&env, &ann, &options, job, query,
+                                          top_k, &timer]() {
         // Same replica-selection rule as the exhaustive fan-out (see
         // ParallelScanBatch): pool workers own their slot, everything else
         // shares the spare.
@@ -191,8 +221,13 @@ Result<std::vector<SearchResult>> AnnScanBatch(const ParallelScanEnv& env,
         PosteriorEngine* engine = worker == ThreadPool::kNotAWorker
                                       ? env.engines->back().get()
                                       : (*env.engines)[worker].get();
-        job->status = AnnSearchTopK(ann, job->ctx, *env.index, env.prefilter,
-                                    top_k, engine, &job->result);
+        Result<ScanContext> ctx = PrepareScan(*query, options,
+                                              /*apply_gamma=*/false,
+                                              env.corpus, *env.index);
+        job->status = ctx.ok() ? AnnSearchTopK(ann, *ctx, *env.index,
+                                               env.prefilter, top_k, engine,
+                                               &job->result)
+                               : ctx.status();
         job->latency_seconds = timer.Seconds();
       }));
     }

@@ -52,13 +52,22 @@ struct ParallelScanEnv {
 /// `seconds` is that query's latency from batch submission to its last
 /// shard completing.
 ///
+/// The caller's thread only runs the query-independent checks
+/// (CheckScanPreconditions), so a bad tau_hat or a corpus/index mismatch
+/// fails the batch with its typed status before any task runs. Tasks are
+/// submitted shard-major; whichever of a query's shard tasks starts first
+/// prepares its ScanContext (PrepareScan) under a per-query once-flag, and
+/// the query's other shard tasks wait on that flag.
+///
 /// Both query kinds prune unless options.topk_early_termination is off.
 /// Threshold calls cut candidates whose Phi upper bound is below gamma in
 /// each shard on its own. Ranking calls (apply_gamma == false with a real
 /// top_k) give each query job one ScanBounds, shared by that query's shard
-/// tasks, so the k-th-best (phi_score, gbd) pair witnessed by any shard
-/// prunes the other shards' tails via a relaxed atomic. The merged output
-/// stays bit-identical to the exhaustive scan — only
+/// tasks: the preparing task seeds it (SeedRankWitness) before any shard
+/// scans, so every shard can walk the postings inside the witness radius,
+/// and the k-th-best (phi_score, gbd) pair witnessed by any shard prunes
+/// the other shards' tails via a relaxed atomic. The merged output stays
+/// bit-identical to the exhaustive scan — only
 /// SearchResult::pruned_by_bound, verified_count and timing vary (see
 /// core/gbda_search.h, ScanBounds).
 Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
@@ -68,12 +77,13 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
                                                     size_t top_k);
 
 /// The approximate ranking fan-out: one pool task PER QUERY (not per
-/// shard) running ann/AnnSearchTopK over the whole corpus — beam
-/// navigation is a global walk, so sharding it would change which
-/// candidates it visits. `env.shards` is unused; `env.prefilter` plays its
-/// usual role inside the verification scan (admission when
-/// options.use_prefilter). top_k must be a real k (not 0, not kScanAllMatches) — callers
-/// route those to the exhaustive path. Returned matches are a subset of
+/// shard) that prepares the query's ScanContext and runs ann/AnnSearchTopK
+/// over the whole corpus — beam navigation is a global walk, so sharding it
+/// would change which candidates it visits. The query-independent checks
+/// run once in the caller, as in ParallelScanBatch. `env.shards` is unused;
+/// `env.prefilter` plays its usual role inside the verification scan
+/// (admission when options.use_prefilter). top_k must be a real k (not 0,
+/// not kScanAllMatches) — callers route those to the exhaustive path. Returned matches are a subset of
 /// the exhaustive top-k with bit-exact scores; only the match SET is
 /// approximate (see ann/navigator.h).
 Result<std::vector<SearchResult>> AnnScanBatch(const ParallelScanEnv& env,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -437,6 +438,63 @@ TEST_F(GbdaServiceTest, RejectsTauBeyondIndex) {
   EXPECT_FALSE(service.QueryBatch(dataset_->queries, opts).ok());
   // A failed batch serves no queries.
   EXPECT_EQ(service.stats().queries_served, 0u);
+}
+
+TEST_F(GbdaServiceTest, BatchErrorsStayTypedWhenPreparedOnThePool) {
+  // Queries are prepared on the pool, but a bad tau_hat or a stale index
+  // still fails every batch call as a whole with the checks' typed status
+  // (no partial result) and serves nothing.
+  GraphDatabase smaller;
+  smaller.vertex_labels() = dataset_->db.vertex_labels();
+  smaller.edge_labels() = dataset_->db.edge_labels();
+  for (size_t i = 0; i + 1 < dataset_->db.size(); ++i) {
+    smaller.Add(dataset_->db.graph(i));
+  }
+  GbdaIndexOptions index_options;
+  index_options.tau_max = 10;
+  index_options.gbd_prior.num_sample_pairs = 500;
+  Result<GbdaIndex> smaller_index = GbdaIndex::Build(smaller, index_options);
+  ASSERT_TRUE(smaller_index.ok());
+
+  struct Case {
+    std::string name;
+    const GraphDatabase* db;
+    const IndexReader* index;
+    int64_t tau_hat;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {"tau_hat past tau_max", &dataset_->db, index_, index_->tau_max() + 1,
+       StatusCode::kInvalidArgument},
+      {"negative tau_hat", &dataset_->db, index_, -1,
+       StatusCode::kInvalidArgument},
+      {"index smaller than corpus", &dataset_->db, &*smaller_index, 5,
+       StatusCode::kFailedPrecondition},
+  };
+  for (const Case& c : cases) {
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      GbdaService service(c.db, c.index, ServiceOptions{3, shards, {}});
+      SearchOptions options;
+      options.tau_hat = c.tau_hat;
+      const std::string label =
+          c.name + " shards=" + std::to_string(shards);
+      Result<std::vector<SearchResult>> threshold =
+          service.QueryBatch(dataset_->queries, options);
+      ASSERT_FALSE(threshold.ok()) << label;
+      EXPECT_EQ(threshold.status().code(), c.code) << label;
+      Result<std::vector<SearchResult>> ranked =
+          service.QueryTopKBatch(dataset_->queries, 10, options);
+      ASSERT_FALSE(ranked.ok()) << label;
+      EXPECT_EQ(ranked.status().code(), c.code) << label;
+      SearchOptions approximate = options;
+      approximate.approximate = true;
+      Result<std::vector<SearchResult>> approx =
+          service.QueryTopKBatch(dataset_->queries, 10, approximate);
+      ASSERT_FALSE(approx.ok()) << label;
+      EXPECT_EQ(approx.status().code(), c.code) << label;
+      EXPECT_EQ(service.stats().queries_served, 0u) << label;
+    }
+  }
 }
 
 }  // namespace

@@ -11,9 +11,9 @@
 // query key the corpus lacks, a repeated key straddling the 2 * tau_hat + 1
 // boundary, and the prefilter on and off. A constructed corpus pins the
 // walk's length: a match that shares only the (2 * tau_hat + 1)-th rarest
-// position must be found. Ranking scans (which keep the one-pass postings
-// count) are held to the same contract. A last case pins the empty query
-// against zero-vertex graphs.
+// position must be found. A last case pins the empty query against
+// zero-vertex graphs. The ranking walk has its own suite
+// (rank_walk_equivalence_test.cc).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -235,61 +235,6 @@ TEST_F(PrefixFilterEquivalenceTest, ThresholdScansMatchExhaustive) {
       }
     }
     EXPECT_GT(pruned_at_09, 0u) << f.name;
-  }
-}
-
-TEST_F(PrefixFilterEquivalenceTest, TopKScansMatchExhaustive) {
-  for (const Fixture& f : *fixtures_) {
-    GbdaSearch serial(&f.data.db, f.index.get());
-    const std::vector<std::unique_ptr<GbdaService>> services = Services(f);
-    const Span<Graph> queries(f.queries.data(), f.queries.size());
-    const size_t n = f.data.db.size();
-    for (GbdaVariant variant :
-         {GbdaVariant::kStandard, GbdaVariant::kAverageSize}) {
-      for (bool prefilter : {false, true}) {
-        for (int64_t tau_hat : {int64_t{0}, int64_t{5}}) {
-          for (size_t k : {size_t{1}, size_t{10}, size_t{200}, n - 1}) {
-            SearchOptions exhaustive;
-            exhaustive.tau_hat = tau_hat;
-            exhaustive.variant = variant;
-            exhaustive.use_prefilter = prefilter;
-            exhaustive.topk_early_termination = false;
-            SearchOptions walked = exhaustive;
-            walked.topk_early_termination = true;
-            const std::string config =
-                f.name + " variant=" +
-                std::to_string(static_cast<int>(variant)) +
-                " prefilter=" + std::to_string(prefilter) +
-                " tau=" + std::to_string(tau_hat) +
-                " k=" + std::to_string(k);
-            std::vector<SearchResult> reference;
-            for (size_t q = 0; q < f.queries.size(); ++q) {
-              const std::string label = config + " query=" + std::to_string(q);
-              Result<SearchResult> a =
-                  serial.QueryTopK(f.queries[q], k, exhaustive);
-              Result<SearchResult> b =
-                  serial.QueryTopK(f.queries[q], k, walked);
-              ASSERT_TRUE(a.ok()) << label << ": " << a.status().ToString();
-              ASSERT_TRUE(b.ok()) << label << ": " << b.status().ToString();
-              ExpectSameResult(*a, *b, "serial " + label);
-              reference.push_back(std::move(*a));
-            }
-            for (const std::unique_ptr<GbdaService>& service : services) {
-              const std::string label =
-                  config + " shards=" + std::to_string(service->num_shards());
-              Result<std::vector<SearchResult>> batch =
-                  service->QueryTopKBatch(queries, k, walked);
-              ASSERT_TRUE(batch.ok()) << label << ": "
-                                      << batch.status().ToString();
-              for (size_t q = 0; q < f.queries.size(); ++q) {
-                ExpectSameResult(reference[q], (*batch)[q],
-                                 label + " query=" + std::to_string(q));
-              }
-            }
-          }
-        }
-      }
-    }
   }
 }
 
